@@ -1,50 +1,45 @@
 """Network serving: the ≥0.5x loopback acceptance bar.
 
-The socket front-end may at most double the cost of a served batch on
-the loopback: a ``python -m repro.net.server`` subprocess answering the
-same stream as an in-process ``MatchingService.submit_many`` must
-sustain at least 0.5x the in-process requests/second at batch 32 —
-codec, framing, asyncio dispatch, and the second Python process all
-included. The remote-worker path rides along as a smoke: one sharded
-matching through a real ``python -m repro.net.worker`` subprocess,
-verified pair-identical to serial execution.
+Thin wrapper over the ``net`` matrix config: a ``python -m
+repro.net.server`` subprocess answering the same request stream as an
+in-process ``MatchingService.submit_many`` must sustain at least 0.5x
+the in-process requests/second at batch 32 — codec, framing, asyncio
+dispatch, and the second Python process all included. Every cell's
+served answers are pair-identical to the canonical matcher. The
+remote-worker path rides along as a smoke: one sharded matching through
+a real ``python -m repro.net.worker`` subprocess, verified
+pair-identical to serial execution.
 
-Exactness is asserted unconditionally inside the measured points (the
-sweep raises on any divergence). No skips — this file runs anywhere
-(plain ``pytest benchmarks/bench_net.py``; real subprocesses, loopback
-sockets only).
+No skips — this file runs anywhere (plain ``pytest
+benchmarks/bench_net.py``; real subprocesses, loopback sockets only),
+or via ``python -m repro.bench.matrix run --config net``.
 """
 
-from repro.bench.net import NET_BATCH_SIZE, run_net_point, run_remote_smoke
+from repro.bench import bench_scale
+from repro.bench.matrix import load_named_config, run_matrix
+from repro.bench.net import run_remote_smoke
 
-from conftest import scaled_objects
+from conftest import (
+    assert_cells_identical,
+    assert_gates_pass,
+    run_named_matrix,
+    scaled_objects,
+)
 
 SEED = 91
 DIMS = 4
-NUM_REQUESTS = 2 * NET_BATCH_SIZE
-RATIO_FLOOR = 0.5
 
 
 def test_networked_serving_holds_half_of_in_process_throughput():
     """Acceptance bar: networked submit_many >= 0.5x in-process req/s."""
-    n_objects = max(800, scaled_objects())
-    point = run_net_point(n_objects, batch_size=NET_BATCH_SIZE,
-                          num_requests=NUM_REQUESTS, dims=DIMS, seed=SEED)
-    if point.ratio < RATIO_FLOOR:
+    result = run_named_matrix("net")
+    assert_cells_identical(result)
+    if not result.gates_ok:
         # One re-measure absorbs a scheduler hiccup on a loaded CI
         # host; a real regression fails both runs.
-        retry = run_net_point(n_objects, batch_size=NET_BATCH_SIZE,
-                              num_requests=NUM_REQUESTS, dims=DIMS,
-                              seed=SEED)
-        if retry.ratio > point.ratio:
-            point = retry
-    assert point.n_requests == NUM_REQUESTS
-    assert point.ratio >= RATIO_FLOOR, (
-        f"networked serving at batch {NET_BATCH_SIZE} must hold >= "
-        f"{RATIO_FLOOR}x of in-process submit_many throughput, got "
-        f"{point.ratio:.2f}x ({point.net_rps:.1f} vs "
-        f"{point.inproc_rps:.1f} req/s)"
-    )
+        result = run_matrix(load_named_config("net"), scale=bench_scale())
+        assert_cells_identical(result)
+    assert_gates_pass(result)
 
 
 def test_remote_worker_subprocess_smoke():

@@ -9,8 +9,8 @@ canonical matcher and every declared gate holds. Workload shapes,
 axes, and thresholds all live in the config JSON, not in this package.
 
 The remaining hand-written benchmarks (substrate ablations, rewind
-bit-identity, micro/net) keep the session-scaled workload helpers
-below.
+bit-identity, micro, the remote-worker smoke) keep the session-scaled
+workload helpers below.
 """
 
 from __future__ import annotations

@@ -1,58 +1,24 @@
-"""Benchmark harness reproducing the paper's evaluation section."""
+"""Benchmark harness reproducing the paper's evaluation section.
 
-from .figures import (
-    PAPER_DIMENSIONS,
+The one front end is the matrix (``python -m repro.bench.matrix``):
+declarative configs under ``matrix/configs/`` sweep the paper's figures,
+ablations and the serving stack. The modules here are the measurement
+points those cells run.
+"""
+
+from .instruments import RunMeasurement, measure_run
+from .runner import (
+    BENCH_CONFIGS,
     PAPER_NUM_FUNCTIONS,
     PAPER_NUM_OBJECTS,
-    PAPER_ZILLOW_SIZES,
-    figure2_sweep,
-    figure3_sweep,
-)
-from .ablations import SB_VARIANTS, format_ablation_table, run_sb_ablations
-from .instruments import RunMeasurement, measure_matcher
-from .record import (
-    load_sweep_json,
-    save_sweep_json,
-    sweep_to_dict,
-    sweep_to_markdown,
-)
-from .report import format_figure, format_sweep_table, orders_of_magnitude
-from .runner import (
-    ALGORITHMS,
-    BENCH_CONFIGS,
-    DEFAULT_ALGORITHM_ORDER,
-    Sweep,
-    SweepPoint,
     bench_scale,
-    resolve_algorithms,
-    run_point,
 )
 
 __all__ = [
-    "SB_VARIANTS",
-    "format_ablation_table",
-    "run_sb_ablations",
-    "PAPER_DIMENSIONS",
+    "BENCH_CONFIGS",
     "PAPER_NUM_FUNCTIONS",
     "PAPER_NUM_OBJECTS",
-    "PAPER_ZILLOW_SIZES",
-    "figure2_sweep",
-    "figure3_sweep",
     "RunMeasurement",
-    "measure_matcher",
-    "load_sweep_json",
-    "save_sweep_json",
-    "sweep_to_dict",
-    "sweep_to_markdown",
-    "format_figure",
-    "format_sweep_table",
-    "orders_of_magnitude",
-    "ALGORITHMS",
-    "BENCH_CONFIGS",
-    "DEFAULT_ALGORITHM_ORDER",
-    "Sweep",
-    "SweepPoint",
     "bench_scale",
-    "resolve_algorithms",
-    "run_point",
+    "measure_run",
 ]

@@ -3,17 +3,16 @@
 A :class:`RunMeasurement` captures everything the paper reports for one
 algorithm execution: I/O accesses (buffer-missed page reads + writes),
 CPU time, plus auxiliary counters (pairs, rounds, top-1 / reverse-top-1
-query counts) that explain *why* the costs differ.
+query counts, TA score evaluations) that explain *why* the costs differ.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ..core import Matcher, Matching, MatchingProblem
-from ..storage import IOSnapshot
+from ..core import Matcher, Matching
 
 
 @dataclass
@@ -30,6 +29,7 @@ class RunMeasurement:
     rounds: int
     top1_searches: int = 0
     reverse_top1_queries: int = 0
+    score_evaluations: int = 0
     extra: Dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, float]:
@@ -44,28 +44,21 @@ class RunMeasurement:
             "rounds": self.rounds,
             "top1_searches": self.top1_searches,
             "reverse_top1_queries": self.reverse_top1_queries,
+            "score_evaluations": self.score_evaluations,
         }
         result.update(self.extra)
         return result
 
 
-def measure_matcher(matcher: Matcher) -> RunMeasurement:
+def measure_run(matcher: Matcher) -> Tuple[RunMeasurement, Matching]:
     """Run ``matcher`` to completion on a cold cache, measuring costs.
 
     The problem's I/O counters are reset (and the buffer emptied) before
     the run, so the measurement covers exactly one matching execution —
     the same protocol as the paper, whose numbers exclude index building.
-    """
-    measurement, _ = measure_run(matcher)
-    return measurement
-
-
-def measure_run(matcher: Matcher) -> Tuple[RunMeasurement, Matching]:
-    """:func:`measure_matcher`, but also return the matching itself.
-
-    The matrix runner needs the produced matching to assert every cell
-    pair-identical to the canonical matcher; the measurement protocol
-    (cold buffer, counters reset, index building excluded) is identical.
+    Returns the measurement plus the produced matching, which the matrix
+    asserts pair-identical to the canonical matcher. Score evaluations
+    are counted only when the matcher was built with ``search_stats``.
     """
     problem = matcher.problem
     problem.reset_io()
@@ -73,6 +66,7 @@ def measure_run(matcher: Matcher) -> Tuple[RunMeasurement, Matching]:
     matching = matcher.run()
     cpu_seconds = time.perf_counter() - start
     stats = problem.io_stats
+    search = getattr(matcher, "search_stats", None)
     measurement = RunMeasurement(
         algorithm=matcher.name,
         io_accesses=stats.io_accesses,
@@ -84,5 +78,6 @@ def measure_run(matcher: Matcher) -> Tuple[RunMeasurement, Matching]:
         rounds=matching.num_rounds,
         top1_searches=getattr(matcher, "top1_searches", 0),
         reverse_top1_queries=getattr(matcher, "reverse_top1_queries", 0),
+        score_evaluations=0 if search is None else search.score_evaluations,
     )
     return measurement, matching

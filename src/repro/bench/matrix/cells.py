@@ -1,11 +1,10 @@
 # lint: replay-root
 """Executing one matrix cell and asserting its pair-identity.
 
-Each grid kind maps to one runner here. All runners reuse the existing
-bench instruments (:mod:`repro.bench.instruments` and the per-kind
-point functions in :mod:`repro.bench`), so the matrix measures exactly
-what the eight historical smoke benches measured — it just measures all
-of it through one declarative sweep.
+Each grid kind maps to one runner here. All runners reuse the bench
+instruments (:mod:`repro.bench.instruments` and the per-kind point
+functions in :mod:`repro.bench`), so every benchmark in the repo is
+measured through one declarative sweep.
 
 Every cell's matching is compared against the *canonical* matcher (the
 config's ``reference`` algorithm on the in-memory backend, cached per
@@ -39,7 +38,9 @@ from ...dynamic import (
 from ...engine import MatchingConfig, MatchingEngine
 from ...errors import MatchingError
 from ...prefs import LinearPreference, generate_preferences
+from ...storage import SearchStats
 from ..instruments import measure_run
+from ..net import run_net_point
 from ..replay import run_replay_point
 from ..runner import BENCH_CONFIGS
 from ..serving import run_serving_point
@@ -185,7 +186,7 @@ def _run_match_cell(spec: CellSpec, ctx: MatrixContext) -> CellResult:
             engine = MatchingEngine(config)
             problem = engine.build_problem(objects, functions)
             candidate, matching = measure_run(
-                engine.create_matcher(problem)
+                engine.create_matcher(problem, search_stats=SearchStats())
             )
             if measurement is None or \
                     candidate.cpu_seconds < measurement.cpu_seconds:
@@ -204,6 +205,7 @@ def _run_match_cell(spec: CellSpec, ctx: MatrixContext) -> CellResult:
             "reverse_top1_queries": float(
                 measurement.reverse_top1_queries
             ),
+            "score_evaluations": float(measurement.score_evaluations),
         }
     metrics["n_objects"] = float(len(objects))
     metrics["n_functions"] = float(len(functions))
@@ -252,24 +254,30 @@ def _run_serving_cell(spec: CellSpec, ctx: MatrixContext) -> CellResult:
 
 
 def grid_requests(grid: GridSpec) -> int:
-    """Distinct requests a throughput grid serves (same for all cells)."""
+    """Distinct requests a throughput/net grid serves (same for all cells)."""
     explicit = grid.workload.num_requests
     if explicit:
         return explicit
     return 2 * max(int(value) for value in grid.axes["batch"])
 
 
+def _request_workloads(grid: GridSpec,
+                       ctx: MatrixContext) -> List[List[LinearPreference]]:
+    """The distinct per-request workloads of a throughput/net grid."""
+    workload = grid.workload
+    return [
+        ctx.functions(workload.functions_per_request, workload.dims,
+                      workload.seed + 1 + request)
+        for request in range(grid_requests(grid))
+    ]
+
+
 def _run_throughput_cell(spec: CellSpec,
                          ctx: MatrixContext) -> CellResult:
     workload = spec.grid.workload
-    dims = workload.dims
-    objects = ctx.grid_objects(spec.grid, workload.num_objects, dims)
-    n_requests = grid_requests(spec.grid)
-    workloads = [
-        ctx.functions(workload.functions_per_request, dims,
-                      workload.seed + 1 + request)
-        for request in range(n_requests)
-    ]
+    objects = ctx.grid_objects(spec.grid, workload.num_objects,
+                               workload.dims)
+    workloads = _request_workloads(spec.grid, ctx)
     base = BENCH_CONFIGS[str(spec.axes["algorithm"])]
     point = run_throughput_point(
         objects, workloads, base, int(spec.axes["batch"]),
@@ -320,8 +328,8 @@ def _run_dynamic_cell(spec: CellSpec, ctx: MatrixContext) -> CellResult:
         backend=str(spec.axes["backend"]),
     )
 
-    # Incremental path, recompute fallback disabled (bench.dynamic's
-    # protocol): the repair machinery must absorb every event itself.
+    # Incremental path, recompute fallback disabled: the repair
+    # machinery must absorb every event itself.
     engine = MatchingEngine(config.replace(repair_threshold=1e9))
     session = engine.open_session(objects, functions)
     io_before = session.io_snapshot().io_accesses
@@ -386,12 +394,40 @@ def _run_replay_cell(spec: CellSpec, ctx: MatrixContext) -> CellResult:
     return CellResult(spec=spec, metrics=metrics)
 
 
+def _run_net_cell(spec: CellSpec, ctx: MatrixContext) -> CellResult:
+    workload = spec.grid.workload
+    objects = ctx.grid_objects(spec.grid, workload.num_objects,
+                               workload.dims)
+    workloads = _request_workloads(spec.grid, ctx)
+    point, served = run_net_point(objects, workloads,
+                                  int(spec.axes["batch"]), workload.seed)
+    # run_net_point already verified served == in-process; check a
+    # sample of the served answers against the canonical matcher.
+    identity = all(
+        frozenset(result.as_set()) == ctx.reference_pairs(objects,
+                                                          functions)
+        for result, functions in zip(served[:workload.identity_sample],
+                                     workloads)
+    )
+    metrics = {
+        "inproc_rps": point.inproc_rps,
+        "net_rps": point.net_rps,
+        "ratio": point.ratio,
+        "n_requests": float(point.n_requests),
+        "n_objects": float(point.n_objects),
+        "n_functions": float(point.n_functions),
+        "identity_ok": float(identity),
+    }
+    return CellResult(spec=spec, metrics=metrics)
+
+
 _RUNNERS: Dict[str, Callable[[CellSpec, MatrixContext], CellResult]] = {
     "match": _run_match_cell,
     "serving": _run_serving_cell,
     "throughput": _run_throughput_cell,
     "dynamic": _run_dynamic_cell,
     "replay": _run_replay_cell,
+    "net": _run_net_cell,
 }
 
 

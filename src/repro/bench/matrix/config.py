@@ -29,6 +29,11 @@ Grid kinds and their axes:
 ``replay``
     A scenario trace replayed with freshness verification and an exact
     rewind check. Axes: ``scenario``, ``backend``.
+``net``
+    In-process ``submit_many`` vs the same request stream served by a
+    loopback ``python -m repro.net.server`` subprocess. Axes: ``batch``.
+    The generator must be ``independent``: the server regenerates its
+    catalog with it from the workload's size, dims and seed.
 
 Examples
 --------
@@ -73,6 +78,7 @@ KIND_AXES: Dict[str, Tuple[str, ...]] = {
     "throughput": ("algorithm", "backend", "batch"),
     "dynamic": ("algorithm", "backend", "churn"),
     "replay": ("scenario", "backend"),
+    "net": ("batch",),
 }
 
 #: Executors a matrix cell may use (``remote`` needs worker processes
@@ -100,7 +106,7 @@ class GridWorkload:
     factor, floored at ``min_objects``/``min_functions``. The remaining
     knobs are read by specific kinds only: ``num_queries`` (serving),
     ``functions_per_request``/``num_requests``/``identity_sample``
-    (throughput), ``trace_scale`` (replay), ``repeats`` (match).
+    (throughput, net), ``trace_scale`` (replay), ``repeats`` (match).
     """
 
     generator: str = "independent"
@@ -339,6 +345,12 @@ def _normalize_grid(grid: GridSpec) -> GridSpec:
         raise MatrixConfigError(
             f"grid {grid.name!r}: axis {unknown[0]!r} does not apply to "
             f"kind {grid.kind!r} (its axes are {', '.join(known)})"
+        )
+    if grid.kind == "net" and grid.workload.generator != "independent":
+        raise MatrixConfigError(
+            f"grid {grid.name!r}: net grids need the 'independent' "
+            f"generator (the server subprocess regenerates its catalog "
+            f"with it), got {grid.workload.generator!r}"
         )
     defaults = _axis_defaults(grid.workload)
     axes: Dict[str, Tuple[Any, ...]] = {}

@@ -46,6 +46,7 @@ PathLike = Union[str, Path]
 EXACT_METRICS: Tuple[str, ...] = (
     "io_accesses", "page_reads", "page_writes", "buffer_hits",
     "pairs", "rounds", "top1_searches", "reverse_top1_queries",
+    "score_evaluations",
     "identity_ok", "n_objects", "n_functions", "n_events", "n_queries",
     "n_requests", "vectorized_requests", "incremental_io",
     "recompute_io", "requests", "churn_events", "freshness_checks",

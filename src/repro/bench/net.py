@@ -11,46 +11,36 @@ JSON codec, framing, asyncio dispatch, and a second Python process):
     from the generator seed — the generators are deterministic). The
     networked requests/second are reported as a fraction of the
     in-process rate, and every served answer is verified pair-identical
-    to the local one *before* any rate is reported.
+    to the local one *before* any rate is reported. The ``net`` matrix
+    kind runs one such point per batch size.
 ``remote shard workers``
     A ``python -m repro.net.worker`` subprocess executes a sharded
     matching via ``executor="remote"``; the result is verified
     pair-identical to ``executor="serial"`` on the same instance.
 
-The CI acceptance bar (``benchmarks/bench_net.py``) is networked
-throughput ≥ 0.5x in-process at batch 32 — the wire may at most double
-the cost of a served batch on the loopback.
+The acceptance bar (the ``net`` matrix config, enforced in CI through
+``benchmarks/bench_net.py``) is networked throughput ≥ 0.5x in-process
+at batch 32 — the wire may at most double the cost of a served batch on
+the loopback.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..data import generate_independent
+from ..data import Dataset, generate_independent
 from ..engine import MatchingService
 from ..errors import MatchingError, NetworkError
 from ..prefs import generate_preferences
-from .runner import bench_scale
 
-#: Unscaled catalog size (the serving regime: big catalog, small
-#: per-request workloads).
-NET_NUM_OBJECTS = 20_000
-
-#: Functions per request.
+#: Functions per request of the remote-worker smoke.
 NET_FUNCTIONS_PER_REQUEST = 16
-
-#: Distinct requests measured per point (all cache misses).
-NET_NUM_REQUESTS = 64
-
-#: The CI acceptance batch size.
-NET_BATCH_SIZE = 32
 
 #: Seconds to wait for a subprocess to announce LISTENING.
 _SPAWN_TIMEOUT = 60.0
@@ -72,17 +62,6 @@ class NetPoint:
         """Networked / in-process requests-per-second."""
         return self.net_rps / max(1e-9, self.inproc_rps)
 
-    def as_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "n_objects": self.n_objects,
-            "n_functions": self.n_functions,
-            "n_requests": self.n_requests,
-            "inproc_rps": self.inproc_rps,
-            "net_rps": self.net_rps,
-            "ratio": self.ratio,
-        }
-
 
 @dataclass
 class RemoteSmoke:
@@ -94,38 +73,6 @@ class RemoteSmoke:
     serial_seconds: float
     remote_seconds: float
     verified: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "shards": self.shards,
-            "n_objects": self.n_objects,
-            "n_functions": self.n_functions,
-            "serial_seconds": self.serial_seconds,
-            "remote_seconds": self.remote_seconds,
-            "verified": self.verified,
-        }
-
-
-@dataclass
-class NetSweep:
-    """The full network benchmark plus workload provenance."""
-
-    dims: int
-    seed: int
-    points: List[NetPoint] = field(default_factory=list)
-    remote: Optional[RemoteSmoke] = None
-
-    name = "net"
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": "net-1",
-            "name": self.name,
-            "dims": self.dims,
-            "seed": self.seed,
-            "points": [point.as_dict() for point in self.points],
-            "remote": None if self.remote is None else self.remote.as_dict(),
-        }
 
 
 # ----------------------------------------------------------------------
@@ -187,27 +134,23 @@ def _stop(process: subprocess.Popen) -> None:
 # ----------------------------------------------------------------------
 # The matching-protocol point
 # ----------------------------------------------------------------------
-def run_net_point(n_objects: int, batch_size: int = NET_BATCH_SIZE,
-                  num_requests: int = NET_NUM_REQUESTS,
-                  dims: int = 4, seed: int = 42) -> NetPoint:
+def run_net_point(objects: Dataset, workloads: Sequence, batch_size: int,
+                  seed: int) -> Tuple[NetPoint, List]:
     """Measure one cell: in-process vs networked ``submit_many``.
 
-    The server subprocess regenerates the identical dataset from
-    ``(n_objects, dims, seed)``; both sides answer the same distinct
-    workload stream in ``batch_size`` chunks from a cold cache, and the
-    served answers are verified pair-identical to the in-process ones
-    before any rate is computed.
+    ``objects`` must be ``generate_independent(len(objects),
+    objects.dims, seed=seed)`` — the server subprocess regenerates it
+    from those arguments. Both sides answer ``workloads`` in
+    ``batch_size`` chunks from a cold cache, and the served answers are
+    verified pair-identical to the in-process ones before any rate is
+    computed. Returns the point plus the served results.
     """
     from ..net import MatchingClient
 
+    if not workloads:
+        raise MatchingError("run_net_point needs workloads")
     if batch_size < 1:
         raise MatchingError(f"batch_size must be >= 1, got {batch_size}")
-    objects = generate_independent(n_objects, dims, seed=seed)
-    workloads = [
-        generate_preferences(NET_FUNCTIONS_PER_REQUEST, dims,
-                             seed=seed + 1 + request)
-        for request in range(num_requests)
-    ]
 
     with MatchingService(objects, algorithm="sb", backend="memory",
                          deletion_mode="filter") as service:
@@ -221,7 +164,7 @@ def run_net_point(n_objects: int, batch_size: int = NET_BATCH_SIZE,
 
     process, host, port = spawn_listening([
         sys.executable, "-m", "repro.net.server",
-        "--objects", str(n_objects), "--dims", str(dims),
+        "--objects", str(len(objects)), "--dims", str(objects.dims),
         "--seed", str(seed), "--algorithm", "sb",
         "--backend", "memory",
     ])
@@ -244,14 +187,15 @@ def run_net_point(n_objects: int, batch_size: int = NET_BATCH_SIZE,
                 f"submit_many at batch size {batch_size}"
             )
 
-    return NetPoint(
+    point = NetPoint(
         batch_size=batch_size,
-        n_objects=n_objects,
-        n_functions=NET_FUNCTIONS_PER_REQUEST,
+        n_objects=len(objects),
+        n_functions=len(workloads[0]),
         n_requests=len(workloads),
         inproc_rps=len(workloads) / max(1e-9, inproc_seconds),
         net_rps=len(workloads) / max(1e-9, net_seconds),
     )
+    return point, served
 
 
 # ----------------------------------------------------------------------
@@ -296,56 +240,3 @@ def run_remote_smoke(n_objects: int, shards: int = 3, dims: int = 4,
         remote_seconds=remote_seconds,
         verified=True,
     )
-
-
-def net_sweep(scale: Optional[float] = None, seed: int = 42,
-              batch_sizes: Sequence[int] = (NET_BATCH_SIZE,),
-              dims: int = 4,
-              num_requests: Optional[int] = None) -> NetSweep:
-    """The full network benchmark: protocol points + remote smoke."""
-    scale = bench_scale() if scale is None else scale
-    n_objects = max(800, int(NET_NUM_OBJECTS * scale))
-    if num_requests is None:
-        num_requests = max(2 * max(batch_sizes), NET_NUM_REQUESTS)
-    sweep = NetSweep(dims=dims, seed=seed)
-    for batch_size in batch_sizes:
-        sweep.points.append(
-            run_net_point(n_objects, batch_size=batch_size,
-                          num_requests=num_requests, dims=dims, seed=seed)
-        )
-    sweep.remote = run_remote_smoke(n_objects, dims=dims, seed=seed)
-    return sweep
-
-
-def format_net_table(sweep: NetSweep) -> str:
-    """Render the sweep as a GitHub-flavored Markdown table."""
-    head = sweep.points[0] if sweep.points else None
-    lines = [
-        f"Network serving: loopback subprocess vs in-process "
-        f"(D={sweep.dims}, |O|={head.n_objects if head else 0}, "
-        f"|F|={head.n_functions if head else 0} per request, "
-        f"{head.n_requests if head else 0} distinct requests)",
-        "| batch | in-process req/s | networked req/s | ratio |",
-        "|---|---|---|---|",
-    ]
-    for point in sweep.points:
-        lines.append(
-            f"| {point.batch_size} "
-            f"| {point.inproc_rps:.1f} "
-            f"| {point.net_rps:.1f} "
-            f"| {point.ratio:.2f}x |"
-        )
-    if sweep.remote is not None:
-        smoke = sweep.remote
-        lines.append(
-            f"remote workers: {smoke.shards} shards over one worker "
-            f"subprocess in {smoke.remote_seconds * 1e3:.1f} ms "
-            f"(serial: {smoke.serial_seconds * 1e3:.1f} ms), "
-            f"pair-identical: {smoke.verified}"
-        )
-    return "\n".join(lines)
-
-
-def save_net_json(sweep: NetSweep, path) -> None:
-    """Write the sweep to ``path`` as pretty-printed JSON."""
-    Path(path).write_text(json.dumps(sweep.as_dict(), indent=2) + "\n")

@@ -1,11 +1,11 @@
 """Replay benchmark: the scenario harness as a serving-stack gate.
 
-One row per shipped scenario (``diurnal``, ``flash-crowd``,
-``adversarial``): the trace is generated at the bench scale, replayed
-against the full serving stack with per-burst ground-truth verification
-on, and then rewound to the midpoint boundary to time and verify exact
-state restoration. Three numbers carry the acceptance bar
-(``benchmarks/bench_replay.py`` and the ``replay-smoke`` CI job):
+One matrix cell per scenario (``diurnal``, ``flash-crowd``,
+``adversarial``): the trace is generated at the grid's trace scale,
+replayed against the full serving stack with per-burst ground-truth
+verification on, and then rewound to the midpoint boundary to time and
+verify exact state restoration. Three numbers carry the acceptance bar
+(the ``replay`` matrix config and ``benchmarks/bench_replay.py``):
 
 * ``stale_hits == 0`` — no scenario ever served a cached result that a
   cold recompute at the same clock would contradict;
@@ -17,15 +17,10 @@ state restoration. Three numbers carry the acceptance bar
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
 
-from ..replay import ReplayDriver, available_scenarios, scenario_trace
-from ..replay.report import ScenarioReport
-from .runner import bench_scale
+from ..replay import ReplayDriver, scenario_trace
 
 
 @dataclass
@@ -48,53 +43,6 @@ class ReplayPoint:
     def ok(self) -> bool:
         return (self.stale_hits == 0 and self.freshness_mismatches == 0
                 and self.rewind_verified)
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "transport": self.transport,
-            "backend": self.backend,
-            "requests": self.requests,
-            "churn_events": self.churn_events,
-            "freshness_checks": self.freshness_checks,
-            "freshness_mismatches": self.freshness_mismatches,
-            "stale_hits": self.stale_hits,
-            "replay_seconds": self.replay_seconds,
-            "rewind_seconds": self.rewind_seconds,
-            "rewind_verified": self.rewind_verified,
-            "ok": self.ok,
-        }
-
-
-@dataclass
-class ReplaySweep:
-    """All scenario rows plus workload provenance."""
-
-    seed: int
-    scale: float
-    backend: str
-    transport: str
-    points: List[ReplayPoint] = field(default_factory=list)
-    reports: List[ScenarioReport] = field(default_factory=list)
-
-    name = "replay"
-
-    @property
-    def ok(self) -> bool:
-        return all(point.ok for point in self.points)
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": "replay-1",
-            "name": self.name,
-            "seed": self.seed,
-            "scale": self.scale,
-            "backend": self.backend,
-            "transport": self.transport,
-            "ok": self.ok,
-            "points": [point.as_dict() for point in self.points],
-            "reports": [report.as_dict() for report in self.reports],
-        }
 
 
 def _driver_state(driver: ReplayDriver):
@@ -152,60 +100,3 @@ def run_replay_point(scenario: str, scale: float, seed: int = 42,
         rewind_verified=rewind_verified,
     )
     return point, report
-
-
-def replay_sweep(scale: Optional[float] = None, seed: int = 42,
-                 scenarios: Optional[Sequence[str]] = None,
-                 backend: str = "memory",
-                 transport: str = "local") -> ReplaySweep:
-    """Replay every shipped scenario (or ``scenarios``) at bench scale."""
-    scale = bench_scale() if scale is None else scale
-    # Replay traces are request-dominated; the bench default of 0.05
-    # would hollow the populations out entirely, so floor at 0.5.
-    trace_scale = max(0.5, scale * 10)
-    names = tuple(scenarios) if scenarios else tuple(
-        sorted(available_scenarios())
-    )
-    sweep = ReplaySweep(seed=seed, scale=trace_scale, backend=backend,
-                        transport=transport)
-    for scenario in names:
-        point, report = run_replay_point(
-            scenario, scale=trace_scale, seed=seed,
-            backend=backend, transport=transport,
-        )
-        sweep.points.append(point)
-        sweep.reports.append(report)
-    return sweep
-
-
-def format_replay_table(sweep: ReplaySweep) -> str:
-    """Render the sweep as a GitHub-flavored Markdown table."""
-    lines = [
-        f"Replay scenarios: full-stack freshness + exact rewind "
-        f"(scale={sweep.scale:g}, backend={sweep.backend}, "
-        f"transport={sweep.transport})",
-        "| scenario | reqs | churn | checks | stale | mismatch "
-        "| replay s | rewind ms | rewound |",
-        "|---|---|---|---|---|---|---|---|---|",
-    ]
-    for point in sweep.points:
-        lines.append(
-            f"| {point.scenario} "
-            f"| {point.requests} "
-            f"| {point.churn_events} "
-            f"| {point.freshness_checks} "
-            f"| {point.stale_hits} "
-            f"| {point.freshness_mismatches} "
-            f"| {point.replay_seconds:.2f} "
-            f"| {point.rewind_seconds * 1e3:.1f} "
-            f"| {'yes' if point.rewind_verified else 'NO'} |"
-        )
-    verdict = "fresh, rewind exact" if sweep.ok else "FAILED"
-    lines.append(f"verdict: {verdict}")
-    return "\n".join(lines)
-
-
-def save_replay_json(sweep: ReplaySweep, path) -> None:
-    """Write the sweep (including full per-phase reports) as JSON."""
-    Path(path).write_text(json.dumps(sweep.as_dict(), indent=2,
-                                     sort_keys=True) + "\n")

@@ -1,30 +1,22 @@
-"""Experiment runner: bench algorithm panel and parameter sweeps.
+"""Bench panel names, paper cardinalities and the global scale factor.
 
-The harness mirrors the paper's protocol: for each point of a sweep (a
-dimensionality, or an object-set size) it builds a fresh problem per
-algorithm (Brute Force and Chain mutate the R-tree), runs the matcher on a
-cold buffer, and records a :class:`~repro.bench.instruments.RunMeasurement`.
-
-Problems and matchers are staged through the unified
-:class:`~repro.engine.MatchingEngine` facade: each bench panel name maps
-to a :class:`~repro.engine.MatchingConfig` in :data:`BENCH_CONFIGS`, and
-``--backend`` selects the storage backend for the whole sweep (the
-``disk`` default reproduces the paper's I/O figures; ``memory`` times
-the serving fast path).
+Each bench panel name maps to a :class:`~repro.engine.MatchingConfig`
+in :data:`BENCH_CONFIGS`; the matrix's ``algorithm`` axis takes these
+names, so a grid can sweep the paper's matchers and every design-choice
+ablation variant side by side.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict
 
-from ..core import Matcher, MatchingProblem
-from ..data import Dataset
-from ..engine import MatchingConfig, MatchingEngine
+from ..engine import MatchingConfig
 from ..errors import ReproError
-from ..prefs import LinearPreference
-from .instruments import RunMeasurement, measure_matcher
+
+#: The paper's synthetic cardinalities (Section V, before scaling).
+PAPER_NUM_OBJECTS = 100_000
+PAPER_NUM_FUNCTIONS = 5_000
 
 #: Bench panel name -> full engine configuration.
 BENCH_CONFIGS: Dict[str, MatchingConfig] = {
@@ -46,35 +38,6 @@ BENCH_CONFIGS: Dict[str, MatchingConfig] = {
 }
 
 
-def _factory(config: MatchingConfig) -> Callable[[MatchingProblem], Matcher]:
-    return lambda problem: MatchingEngine(config).create_matcher(problem)
-
-
-#: Backwards-compatible view: display name -> matcher factory.
-MatcherFactory = Callable[[MatchingProblem], Matcher]
-
-ALGORITHMS: Dict[str, MatcherFactory] = {
-    name: _factory(config) for name, config in BENCH_CONFIGS.items()
-}
-
-#: The paper's plotting order (SB last in its legends, first here for
-#: readability of the winner).
-DEFAULT_ALGORITHM_ORDER = ("SB", "BruteForce", "Chain")
-
-
-def resolve_algorithms(names: Optional[Sequence[str]]) -> List[str]:
-    """Validate bench panel names, defaulting to the paper's panel set."""
-    if names is None:
-        return list(DEFAULT_ALGORITHM_ORDER)
-    unknown = [name for name in names if name not in BENCH_CONFIGS]
-    if unknown:
-        raise ReproError(
-            f"unknown algorithm {unknown[0]!r}; expected one of "
-            f"{sorted(BENCH_CONFIGS)}"
-        )
-    return list(names)
-
-
 def bench_scale(default: float = 0.05) -> float:
     """Global workload scale factor, from ``REPRO_BENCH_SCALE``.
 
@@ -90,53 +53,3 @@ def bench_scale(default: float = 0.05) -> float:
     if value <= 0:
         raise ReproError(f"REPRO_BENCH_SCALE must be > 0, got {raw!r}")
     return value
-
-
-@dataclass
-class SweepPoint:
-    """One x-axis point of a figure: parameters + per-algorithm results."""
-
-    x: float
-    label: str
-    params: Dict[str, float] = field(default_factory=dict)
-    results: Dict[str, RunMeasurement] = field(default_factory=dict)
-
-    def metric(self, algorithm: str, name: str) -> float:
-        measurement = self.results[algorithm]
-        return float(getattr(measurement, name))
-
-
-@dataclass
-class Sweep:
-    """A complete figure's worth of measurements."""
-
-    name: str
-    x_label: str
-    points: List[SweepPoint] = field(default_factory=list)
-    algorithms: Sequence[str] = DEFAULT_ALGORITHM_ORDER
-
-    def series(self, algorithm: str, metric: str) -> List[float]:
-        """One plotted line: ``metric`` of ``algorithm`` across the sweep."""
-        return [point.metric(algorithm, metric) for point in self.points]
-
-    def xs(self) -> List[float]:
-        return [point.x for point in self.points]
-
-
-def run_point(objects: Dataset, functions: Sequence[LinearPreference],
-              algorithms: Optional[Sequence[str]] = None,
-              backend: str = "disk",
-              buffer_fraction: float = 0.02,
-              page_size: int = 4096) -> Dict[str, RunMeasurement]:
-    """Run each algorithm on its own fresh copy of one workload."""
-    names = resolve_algorithms(algorithms)
-    results: Dict[str, RunMeasurement] = {}
-    for name in names:
-        engine = MatchingEngine(BENCH_CONFIGS[name].replace(
-            backend=backend,
-            buffer_fraction=buffer_fraction,
-            page_size=page_size,
-        ))
-        problem = engine.build_problem(objects, functions)
-        results[name] = measure_matcher(engine.create_matcher(problem))
-    return results

@@ -26,28 +26,12 @@ re-pay staging every run.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..data import generate_independent
 from ..engine import MatchingConfig, MatchingEngine, MatchingPlan
 from ..errors import MatchingError
-from ..prefs import generate_preferences
-from .runner import bench_scale
-
-#: Unscaled workload cardinalities. |O| is deliberately large relative
-#: to |F|: staging cost grows with the object set, matching cost with
-#: the function set, so this is the regime a serving deployment lives
-#: in (a big, slowly-changing catalog; small per-request workloads).
-SERVING_NUM_OBJECTS = 40_000
-SERVING_NUM_FUNCTIONS = 400
-
-#: Distinct workloads measured per point (misses) before the repeats
-#: (hits).
-DEFAULT_NUM_QUERIES = 3
 
 
 @dataclass
@@ -71,45 +55,6 @@ class ServingPoint:
     def hit_speedup(self) -> float:
         """Cold / warm-hit: what the result cache buys on repeats."""
         return self.cold_seconds / max(1e-9, self.warm_hit_seconds)
-
-    def as_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "backend": self.backend,
-            "n_objects": self.n_objects,
-            "n_functions": self.n_functions,
-            "cold_seconds": self.cold_seconds,
-            "warm_miss_seconds": self.warm_miss_seconds,
-            "warm_hit_seconds": self.warm_hit_seconds,
-            "miss_speedup": self.miss_speedup,
-            "hit_speedup": self.hit_speedup,
-        }
-
-
-@dataclass
-class ServingSweep:
-    """The full matrix plus workload provenance."""
-
-    variant: str
-    dims: int
-    seed: int
-    num_queries: int
-    shards: int
-    points: List[ServingPoint] = field(default_factory=list)
-
-    name = "serving"
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": "serving-1",
-            "name": self.name,
-            "variant": self.variant,
-            "dims": self.dims,
-            "seed": self.seed,
-            "num_queries": self.num_queries,
-            "shards": self.shards,
-            "points": [point.as_dict() for point in self.points],
-        }
 
 
 def _serving_config(base_config: MatchingConfig,
@@ -176,69 +121,3 @@ def run_serving_point(objects, workloads: Sequence,
         warm_hit_seconds=hit_seconds / len(workloads),
     )
     return point, warm_results
-
-
-def serving_sweep(scale: Optional[float] = None, seed: int = 42,
-                  algorithms: Optional[Sequence[str]] = None,
-                  backends: Sequence[str] = ("disk", "memory"),
-                  dims: int = 4, shards: int = 1,
-                  num_queries: int = DEFAULT_NUM_QUERIES,
-                  ) -> ServingSweep:
-    """The full serving matrix: algorithms × backends, cold vs warm."""
-    from .runner import BENCH_CONFIGS
-
-    scale = bench_scale() if scale is None else scale
-    if algorithms is None:
-        algorithms = ["SB"]
-    n_objects = max(800, int(SERVING_NUM_OBJECTS * scale))
-    n_functions = max(40, int(SERVING_NUM_FUNCTIONS * scale))
-    objects = generate_independent(n_objects, dims, seed=seed)
-    workloads = [
-        generate_preferences(n_functions, dims, seed=seed + 1 + query)
-        for query in range(max(1, num_queries))
-    ]
-
-    sweep = ServingSweep(
-        variant="independent", dims=dims, seed=seed,
-        num_queries=len(workloads), shards=shards,
-    )
-    for panel in algorithms:
-        base = BENCH_CONFIGS[panel]
-        if shards > 1:
-            base = base.replace(shards=shards)
-        for backend in backends:
-            point, _ = run_serving_point(
-                objects, workloads, base, backend=backend, label=panel,
-            )
-            sweep.points.append(point)
-    return sweep
-
-
-def format_serving_table(sweep: ServingSweep) -> str:
-    """Render the sweep as a GitHub-flavored Markdown table."""
-    fan_out = f", shards={sweep.shards}" if sweep.shards > 1 else ""
-    lines = [
-        f"Serving path: cold match() vs prepared.run() "
-        f"({sweep.variant}, D={sweep.dims}, "
-        f"|O|={sweep.points[0].n_objects if sweep.points else 0}, "
-        f"|F|={sweep.points[0].n_functions if sweep.points else 0} "
-        f"per request, {sweep.num_queries} workloads{fan_out})",
-        "| algorithm | backend | cold ms | warm-miss ms | speedup "
-        "| warm-hit ms | speedup |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for point in sweep.points:
-        lines.append(
-            f"| {point.algorithm} | {point.backend} "
-            f"| {point.cold_seconds * 1e3:.1f} "
-            f"| {point.warm_miss_seconds * 1e3:.1f} "
-            f"| {point.miss_speedup:.2f}x "
-            f"| {point.warm_hit_seconds * 1e3:.2f} "
-            f"| {point.hit_speedup:.0f}x |"
-        )
-    return "\n".join(lines)
-
-
-def save_serving_json(sweep: ServingSweep, path) -> None:
-    """Write the sweep to ``path`` as pretty-printed JSON."""
-    Path(path).write_text(json.dumps(sweep.as_dict(), indent=2) + "\n")

@@ -23,32 +23,12 @@ tree-preserving (``deletion_mode="filter"``), the serving configuration.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from ..data import generate_independent
 from ..engine import MatchingConfig, MatchingService
 from ..errors import MatchingError
-from ..prefs import generate_preferences
-from .runner import bench_scale
-
-#: Unscaled workload cardinalities: a big catalog, small per-request
-#: workloads — the serving regime (see bench.serving for the rationale).
-THROUGHPUT_NUM_OBJECTS = 40_000
-
-#: Functions per request (small: one user cohort per request).
-THROUGHPUT_FUNCTIONS_PER_REQUEST = 16
-
-#: Distinct requests measured per cell (scaled up to cover the largest
-#: batch size at least twice).
-THROUGHPUT_NUM_REQUESTS = 64
-
-#: Batch sizes swept by default (1 = submit_many degenerating to the
-#: per-request path; 32 = the CI acceptance point).
-DEFAULT_BATCH_SIZES = (1, 8, 32)
 
 
 @dataclass
@@ -69,42 +49,6 @@ class ThroughputPoint:
     def speedup(self) -> float:
         """Batched / looped requests-per-second."""
         return self.batched_rps / max(1e-9, self.looped_rps)
-
-    def as_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "backend": self.backend,
-            "batch_size": self.batch_size,
-            "n_objects": self.n_objects,
-            "n_functions": self.n_functions,
-            "n_requests": self.n_requests,
-            "looped_rps": self.looped_rps,
-            "batched_rps": self.batched_rps,
-            "vectorized_requests": self.vectorized_requests,
-            "speedup": self.speedup,
-        }
-
-
-@dataclass
-class ThroughputSweep:
-    """The full matrix plus workload provenance."""
-
-    variant: str
-    dims: int
-    seed: int
-    points: List[ThroughputPoint] = field(default_factory=list)
-
-    name = "throughput"
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": "throughput-1",
-            "name": self.name,
-            "variant": self.variant,
-            "dims": self.dims,
-            "seed": self.seed,
-            "points": [point.as_dict() for point in self.points],
-        }
 
 
 def _service(objects, base_config: MatchingConfig,
@@ -165,70 +109,3 @@ def run_throughput_point(objects, workloads: Sequence,
         batched_rps=len(workloads) / max(1e-9, batched_seconds),
         vectorized_requests=vectorized,
     )
-
-
-def throughput_sweep(scale: Optional[float] = None, seed: int = 42,
-                     batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES,
-                     algorithms: Optional[Sequence[str]] = None,
-                     backends: Sequence[str] = ("memory",),
-                     dims: int = 4,
-                     num_requests: Optional[int] = None,
-                     ) -> ThroughputSweep:
-    """The full matrix: batch size × algorithm × backend."""
-    from .runner import BENCH_CONFIGS
-
-    scale = bench_scale() if scale is None else scale
-    if algorithms is None:
-        algorithms = ["SB"]
-    n_objects = max(800, int(THROUGHPUT_NUM_OBJECTS * scale))
-    if num_requests is None:
-        num_requests = max(2 * max(batch_sizes), THROUGHPUT_NUM_REQUESTS)
-    objects = generate_independent(n_objects, dims, seed=seed)
-    workloads = [
-        generate_preferences(THROUGHPUT_FUNCTIONS_PER_REQUEST, dims,
-                             seed=seed + 1 + request)
-        for request in range(num_requests)
-    ]
-
-    sweep = ThroughputSweep(variant="independent", dims=dims, seed=seed)
-    for panel in algorithms:
-        base = BENCH_CONFIGS[panel]
-        for backend in backends:
-            for batch_size in batch_sizes:
-                sweep.points.append(
-                    run_throughput_point(
-                        objects, workloads, base, batch_size,
-                        backend=backend, label=panel,
-                    )
-                )
-    return sweep
-
-
-def format_throughput_table(sweep: ThroughputSweep) -> str:
-    """Render the sweep as a GitHub-flavored Markdown table."""
-    head = sweep.points[0] if sweep.points else None
-    lines = [
-        f"Batched serving throughput: submit_many vs looped submit "
-        f"({sweep.variant}, D={sweep.dims}, "
-        f"|O|={head.n_objects if head else 0}, "
-        f"|F|={head.n_functions if head else 0} per request, "
-        f"{head.n_requests if head else 0} distinct requests)",
-        "| algorithm | backend | batch | looped req/s | batched req/s "
-        "| speedup | vectorized |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for point in sweep.points:
-        lines.append(
-            f"| {point.algorithm} | {point.backend} "
-            f"| {point.batch_size} "
-            f"| {point.looped_rps:.1f} "
-            f"| {point.batched_rps:.1f} "
-            f"| {point.speedup:.2f}x "
-            f"| {point.vectorized_requests} |"
-        )
-    return "\n".join(lines)
-
-
-def save_throughput_json(sweep: ThroughputSweep, path) -> None:
-    """Write the sweep to ``path`` as pretty-printed JSON."""
-    Path(path).write_text(json.dumps(sweep.as_dict(), indent=2) + "\n")

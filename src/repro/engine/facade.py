@@ -19,7 +19,6 @@ pairs or custom instrumentation.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.capacity import expand_capacities
@@ -78,31 +77,11 @@ class MatchingEngine:
         self._prepared: Optional[PreparedMatching] = None
         self._prepared_key = None
         self._refs = None
-        self._stagings = 0
 
     @property
     def backend(self) -> StorageBackend:
         """The storage backend instance named by the config."""
         return get_backend(self.config.backend)
-
-    @property
-    def stagings(self) -> int:
-        """How many times this engine staged a problem.
-
-        .. deprecated:: 1.1
-            Staged-state reuse is now an internal detail of
-            :class:`~repro.engine.plan.PreparedMatching`; inspect
-            ``repro.plan(...).prepare(objects).stagings`` (and its
-            ``cache``) instead.
-        """
-        warnings.warn(
-            "MatchingEngine.stagings is deprecated: staged-state reuse "
-            "is an internal detail of PreparedMatching; use "
-            "repro.plan(...).prepare(objects) and inspect its stagings "
-            "and cache instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._stagings
 
     def _stage(self, objects: Dataset, functions: Sequence,
                ) -> Tuple[MatchingProblem, Optional[List[int]]]:
@@ -121,7 +100,6 @@ class MatchingEngine:
                 objects, self.config.capacities
             )
         problem = self.backend.build_problem(expanded, functions, self.config)
-        self._stagings += 1
         return problem, virtual_owner
 
     def _prepare_cached(self, objects: Dataset) -> PreparedMatching:
@@ -143,7 +121,6 @@ class MatchingEngine:
             self._prepared = self.plan.prepare(objects)
             self._prepared_key = key
             self._refs = objects
-            self._stagings += 1
         return self._prepared
 
     # ------------------------------------------------------------------

@@ -195,67 +195,6 @@ class FunctionIndex:
             return None
         return best_fid, best_score
 
-    def reverse_topk(self, point: Sequence[float], k: int,
-                     stats: Optional[SearchStats] = None,
-                     ) -> List[ReverseHit]:
-        """The ``k`` best alive functions for ``point``.
-
-        Same TA scan as :meth:`reverse_top1`, but termination requires
-        the *k-th best* complete score to beat the threshold. Results
-        are sorted by (score desc, function id asc). Fewer than ``k``
-        hits are returned when fewer functions remain.
-        """
-        if k < 1:
-            raise PreferenceError(f"k must be >= 1, got {k}")
-        alive = self._alive
-        if not alive:
-            return []
-        if len(point) != self.dims:
-            raise DimensionalityError(self.dims, len(point), "point")
-
-        lists = self._lists
-        dims = self.dims
-        positions = [0] * dims
-        last_seen: List[Optional[float]] = [None] * dims
-        seen = set()
-        # (score, fid) of every fully-scored function; pruned lazily.
-        scored: List[Tuple[float, int]] = []
-        order = sorted(range(dims), key=lambda d: -point[d])
-
-        while True:
-            progressed = False
-            for d in range(dims):
-                lst = lists[d]
-                pos = positions[d]
-                while pos < len(lst) and lst[pos][1] not in alive:
-                    pos += 1
-                if pos >= len(lst):
-                    positions[d] = pos
-                    continue
-                coefficient, fid = lst[pos]
-                positions[d] = pos + 1
-                last_seen[d] = coefficient
-                progressed = True
-                if fid not in seen:
-                    seen.add(fid)
-                    score = canonical_score(alive[fid].weights, point)
-                    if stats is not None:
-                        stats.score_evaluations += 1
-                    scored.append((score, fid))
-            if not progressed:
-                break
-            if len(seen) >= len(alive):
-                break
-            if len(scored) >= k and None not in last_seen:
-                bound = self._bound(point, last_seen, order)
-                if stats is not None:
-                    stats.comparisons += 1
-                scored.sort(key=lambda pair: (-pair[0], pair[1]))
-                if scored[k - 1][0] > bound + TA_STOP_MARGIN:
-                    break
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        return [(fid, score) for score, fid in scored[:k]]
-
     def _bound(self, point: Sequence[float], last_seen: List[float],
                order: List[int]) -> float:
         if self.threshold == "naive":

@@ -27,16 +27,12 @@ def mindist(box: MBR, query: Sequence[float]) -> float:
     """Euclidean MINDIST from ``query`` to ``box`` (0 if inside)."""
     if len(query) != box.dims:
         raise DimensionalityError(box.dims, len(query), "query point")
-    total = 0.0
-    for q, lo, hi in zip(query, box.low, box.high):
-        if q < lo:
-            d = lo - q
-        elif q > hi:
-            d = q - hi
-        else:
-            d = 0.0
-        total += d * d
-    return math.sqrt(total)
+    # hypot scales before squaring: summing d * d underflows tiny gaps
+    # (4.9e-225 squares to 0.0), so distinct distances would tie.
+    return math.hypot(*(
+        lo - q if q < lo else q - hi if q > hi else 0.0
+        for q, lo, hi in zip(query, box.low, box.high)
+    ))
 
 
 class NearestNeighborSearch:

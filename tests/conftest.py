@@ -50,3 +50,24 @@ def small_disk_tree():
     store = DiskNodeStore(3)
     tree = RTree.bulk_load(store, 3, dataset.items())
     return tree, dataset
+
+
+@pytest.fixture
+def count_stagings(monkeypatch):
+    """Count an engine's object-set stagings by wrapping ``plan.prepare``.
+
+    ``install(engine)`` returns a list that grows by one per
+    ``engine.plan.prepare`` call — ``match()`` stages through it.
+    """
+    def install(engine):
+        calls = []
+        prepare = engine.plan.prepare
+
+        def counting_prepare(objects):
+            calls.append(objects)
+            return prepare(objects)
+
+        monkeypatch.setattr(engine.plan, "prepare", counting_prepare)
+        return calls
+
+    return install

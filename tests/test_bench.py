@@ -1,18 +1,8 @@
-"""Benchmark harness: measurement protocol, sweeps, reports, CLI."""
+"""Benchmark harness: measurement protocol, panel registry, scale knob."""
 
 import pytest
 
-from repro.bench import (
-    ALGORITHMS,
-    bench_scale,
-    figure2_sweep,
-    figure3_sweep,
-    format_figure,
-    format_sweep_table,
-    measure_matcher,
-    orders_of_magnitude,
-    run_point,
-)
+from repro.bench import BENCH_CONFIGS, bench_scale, measure_run
 from repro.core import MatchingProblem, SkylineMatcher
 from repro.data import generate_independent
 from repro.errors import ReproError
@@ -25,85 +15,22 @@ def tiny_workload():
     return objects, functions
 
 
-def test_measure_matcher_protocol():
+def test_measure_run_protocol():
     objects, functions = tiny_workload()
     problem = MatchingProblem.build(objects, functions)
-    measurement = measure_matcher(SkylineMatcher(problem))
+    measurement, matching = measure_run(SkylineMatcher(problem))
     assert measurement.algorithm == "skyline"
-    assert measurement.pairs == 12
+    assert measurement.pairs == 12 == len(matching)
+    assert measurement.rounds == matching.num_rounds >= 1
     assert measurement.cpu_seconds > 0
     assert measurement.io_accesses == measurement.page_reads + measurement.page_writes
-    assert measurement.rounds >= 1
     as_dict = measurement.as_dict()
     assert as_dict["pairs"] == 12
 
 
-def test_run_point_runs_each_algorithm_fresh():
-    objects, functions = tiny_workload()
-    results = run_point(objects, functions,
-                        algorithms=("SB", "BruteForce", "Chain"))
-    assert set(results) == {"SB", "BruteForce", "Chain"}
-    pair_counts = {m.pairs for m in results.values()}
-    assert pair_counts == {12}
-
-
-def test_run_point_unknown_algorithm():
-    objects, functions = tiny_workload()
-    with pytest.raises(ReproError):
-        run_point(objects, functions, algorithms=("SB", "Oracle"))
-
-
 def test_ablation_algorithms_registered():
     assert {"SB-single", "SB-retraversal", "SB-naive-threshold",
-            "Chain-stack", "BruteForce-filter"} <= set(ALGORITHMS)
-
-
-def test_figure2_sweep_small():
-    sweep = figure2_sweep(
-        "independent", scale=0.002, dims=(2, 3), algorithms=("SB",),
-        seed=7,
-    )
-    assert [p.x for p in sweep.points] == [2, 3]
-    assert sweep.series("SB", "io_accesses")
-    assert all(m >= 0 for m in sweep.series("SB", "io_accesses"))
-    assert sweep.points[0].params["num_objects"] == 200  # floor applies
-
-
-def test_figure2_rejects_unknown_variant():
-    with pytest.raises(ReproError):
-        figure2_sweep("gaussian", scale=0.002)
-
-
-def test_figure3_sweep_small():
-    sweep = figure3_sweep(
-        scale=0.002, sizes=(10_000, 50_000), algorithms=("SB",), seed=7
-    )
-    assert len(sweep.points) == 2
-    assert sweep.points[0].params["dims"] == 5
-    # Larger |O| never has fewer objects than smaller |O|.
-    sizes = [p.params["num_objects"] for p in sweep.points]
-    assert sizes[0] <= sizes[1]
-
-
-def test_format_sweep_table_contains_everything():
-    sweep = figure2_sweep(
-        "independent", scale=0.002, dims=(2,), algorithms=("SB", "Chain"),
-        seed=7,
-    )
-    text = format_sweep_table(sweep, "io_accesses", title="Fig test")
-    assert "Fig test" in text
-    assert "SB" in text and "Chain" in text
-    assert "D=2" in text
-    assert "best/SB" in text  # the advantage-ratio column
-    multi = format_figure(sweep, metrics=("io_accesses", "cpu_seconds"),
-                          title="panel")
-    assert "panel" in multi and "CPU" in multi
-
-
-def test_orders_of_magnitude():
-    assert orders_of_magnitude(1000, 1) == pytest.approx(3.0)
-    assert orders_of_magnitude(1, 1000) == pytest.approx(-3.0)
-    assert orders_of_magnitude(5, 0) == float("inf")
+            "SB-nocache", "Chain-stack", "BruteForce-filter"} <= set(BENCH_CONFIGS)
 
 
 def test_bench_scale_env(monkeypatch):
@@ -114,59 +41,3 @@ def test_bench_scale_env(monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_SCALE", "-1")
     with pytest.raises(ReproError):
         bench_scale()
-
-
-def test_cli_single_panel(capsys):
-    from repro.bench.cli import main
-
-    code = main(["--figure", "2a", "--scale", "0.002", "--seed", "3"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Fig 2(a)" in out
-    assert "BruteForce" in out
-
-
-def test_cli_rejects_unknown_figure():
-    from repro.bench.cli import main
-
-    with pytest.raises(SystemExit):
-        main(["--figure", "9z"])
-
-
-def test_cli_algorithms_filter(capsys):
-    from repro.bench.cli import main
-
-    code = main(["--figure", "2a", "--scale", "0.002", "--seed", "3",
-                 "--algorithms", "SB"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "SB" in out
-    assert "BruteForce" not in out
-    assert "Chain" not in out
-
-
-def test_cli_rejects_unknown_algorithm():
-    from repro.bench.cli import main
-
-    with pytest.raises(SystemExit, match="unknown algorithm"):
-        main(["--figure", "2a", "--scale", "0.002",
-              "--algorithms", "SB,Oracle"])
-
-
-def test_cli_memory_backend(capsys):
-    from repro.bench.cli import main
-
-    code = main(["--figure", "2a", "--scale", "0.002", "--seed", "3",
-                 "--algorithms", "SB", "--backend", "memory"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "# storage backend: memory" in out
-
-
-def test_run_point_memory_backend_agrees_with_disk():
-    objects, functions = tiny_workload()
-    disk = run_point(objects, functions, algorithms=("SB",))
-    memory = run_point(objects, functions, algorithms=("SB",),
-                       backend="memory")
-    assert memory["SB"].pairs == disk["SB"].pairs
-    assert memory["SB"].io_accesses == 0

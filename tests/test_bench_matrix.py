@@ -106,6 +106,25 @@ def _grid(**overrides):
     return grid
 
 
+NET_GRID = {
+    "name": "loopback",
+    "kind": "net",
+    "workload": {"num_objects": 300, "functions_per_request": 4,
+                 "num_requests": 4},
+    "axes": {"batch": [1, 2]},
+}
+
+
+def _net_grid(**overrides):
+    grid = copy.deepcopy(NET_GRID)
+    for key, value in overrides.items():
+        if key == "workload":
+            grid["workload"].update(value)
+        else:
+            grid[key] = value
+    return grid
+
+
 @pytest.mark.parametrize("breakage, grids", [
     ("unknown axis", [_grid(axes={"nonsense": [1]})]),
     ("unknown algorithm", [_grid(axes={"algorithm": ["NoSuchPanel"],
@@ -119,6 +138,12 @@ def _grid(**overrides):
     ("duplicate cells", [_grid(axes={"algorithm": ["SB", "SB"],
                                      "backend": ["memory"]})]),
     ("duplicate grid names", [_grid(), _grid()]),
+    # The server subprocess has no algorithm or backend flag to sweep...
+    ("net unknown axis", [_net_grid(axes={"batch": [1],
+                                          "algorithm": ["SB"]})]),
+    # ...and can only regenerate a generate_independent catalog.
+    ("net non-independent generator",
+     [_net_grid(workload={"generator": "anticorrelated"})]),
 ])
 def test_config_rejects_malformed_grids(breakage, grids):
     with pytest.raises(MatrixConfigError):
@@ -158,7 +183,7 @@ def test_every_shipped_config_loads_and_expands():
     names = available_configs()
     for expected in ("smoke", "figure2", "figure3", "ablations", "dynamic",
                      "serving", "throughput", "parallel", "parallel-speedup",
-                     "replay"):
+                     "replay", "net"):
         assert expected in names
     for name in names:
         config = load_named_config(name)
@@ -169,6 +194,35 @@ def test_every_shipped_config_loads_and_expands():
 # ---------------------------------------------------------------------------
 # Execution: pair-identity and artifact validation
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, scale", [
+    ("figure2", 0.002),
+    ("figure3", 0.004),
+    ("ablations", 0.004),
+])
+def test_paper_configs_pair_identical_at_small_scale(name, scale):
+    result = run_matrix(load_named_config(name), scale=scale)
+    diverged = [cell.spec.cell_id for cell in result.cells
+                if not cell.identity_ok]
+    assert not diverged
+    if name != "ablations":
+        return
+    # Every SB design choice (paper Section IV) only ever saves work, and
+    # SB beats both baselines on I/O.
+    by_panel = {cell.spec.axes["algorithm"]: cell.metrics
+                for cell in result.cells}
+    sb = by_panel["SB"]
+    assert sb["rounds"] <= by_panel["SB-single"]["rounds"]
+    assert sb["io_accesses"] <= by_panel["SB-retraversal"]["io_accesses"]
+    assert sb["score_evaluations"] <= \
+        by_panel["SB-naive-threshold"]["score_evaluations"]
+    assert sb["reverse_top1_queries"] <= \
+        by_panel["SB-nocache"]["reverse_top1_queries"]
+    assert sb["io_accesses"] < by_panel["BruteForce"]["io_accesses"]
+    assert sb["io_accesses"] < by_panel["Chain"]["io_accesses"]
+    assert by_panel["Chain-stack"]["top1_searches"] <= \
+        by_panel["Chain"]["top1_searches"]
 
 
 def test_tiny_matrix_is_pair_identical_and_gated(tiny_result):
@@ -332,5 +386,5 @@ def test_cli_list_names_shipped_configs():
     out = io.StringIO()
     assert main(["list"], out=out) == 0
     listing = out.getvalue()
-    for name in ("smoke", "figure2", "ablations", "replay"):
+    for name in ("smoke", "figure2", "ablations", "replay", "net"):
         assert name in listing

@@ -259,55 +259,59 @@ def test_engine_is_reusable_across_workloads():
 # ----------------------------------------------------------------------
 # Staged-state reuse across repeated match() calls
 # ----------------------------------------------------------------------
-def test_repeated_match_reuses_staged_problem():
+def test_repeated_match_reuses_staged_problem(count_stagings):
     objects, functions = tiny_workload(seed=80)
     engine = MatchingEngine(algorithm="sb", backend="disk")
+    stagings = count_stagings(engine)
     first = engine.match(objects, functions)
     second = engine.match(objects, functions)
-    assert engine.stagings == 1  # the dataset was indexed exactly once
+    assert len(stagings) == 1  # the dataset was indexed exactly once
     assert [(p.function_id, p.object_id, p.score) for p in first.pairs] == \
            [(p.function_id, p.object_id, p.score) for p in second.pairs]
 
 
-def test_staged_reuse_rebuilds_after_destructive_matcher():
+def test_staged_reuse_rebuilds_after_destructive_matcher(count_stagings):
     # Chain physically deletes assigned objects; the cached problem must
     # be rebuilt before the next run or results would silently shrink.
     objects, functions = tiny_workload(seed=81)
     engine = MatchingEngine(algorithm="chain", backend="disk")
+    stagings = count_stagings(engine)
     first = engine.match(objects, functions)
     second = engine.match(objects, functions)
-    assert engine.stagings == 1
+    assert len(stagings) == 1
     assert [(p.function_id, p.object_id, p.score) for p in first.pairs] == \
            [(p.function_id, p.object_id, p.score) for p in second.pairs]
 
 
-def test_staged_reuse_distinguishes_workloads():
+def test_staged_reuse_distinguishes_workloads(count_stagings):
     engine = MatchingEngine(algorithm="sb", backend="memory")
+    stagings = count_stagings(engine)
     objects_a, functions_a = tiny_workload(seed=82)
     objects_b, functions_b = tiny_workload(seed=83)
     result_a = engine.match(objects_a, functions_a)
     result_b = engine.match(objects_b, functions_b)
-    assert engine.stagings == 2
+    assert len(stagings) == 2
     fresh = repro.match(objects_b, functions_b, backend="memory")
     assert [(p.function_id, p.object_id) for p in result_b.pairs] == \
            [(p.function_id, p.object_id) for p in fresh.pairs]
     assert result_a.pairs != result_b.pairs
 
 
-def test_staged_reuse_with_capacities_keeps_expansion():
+def test_staged_reuse_with_capacities_keeps_expansion(count_stagings):
     objects, functions = tiny_workload(n_objects=10, n_functions=8, seed=84)
     capacities = {object_id: 2 for object_id, _ in objects.items()}
     engine = MatchingEngine(algorithm="sb", backend="memory",
                             capacities=capacities)
+    stagings = count_stagings(engine)
     first = engine.match(objects, functions)
     second = engine.match(objects, functions)
-    assert engine.stagings == 1
+    assert len(stagings) == 1
     assert first.capacities == second.capacities
     assert [(p.function_id, p.object_id) for p in first.pairs] == \
            [(p.function_id, p.object_id) for p in second.pairs]
 
 
-def test_staged_cache_detects_in_place_function_replacement():
+def test_staged_cache_detects_in_place_function_replacement(count_stagings):
     # Regression: the engine must not serve a stale result when the
     # caller mutates the functions list between calls. The prepared
     # result cache keys workloads by function *content*, so the staging
@@ -316,13 +320,14 @@ def test_staged_cache_detects_in_place_function_replacement():
     objects, functions = tiny_workload(seed=85)
     functions = list(functions)
     engine = MatchingEngine(algorithm="sb", backend="memory")
+    stagings = count_stagings(engine)
     engine.match(objects, functions)
     replacement = repro.prefs.LinearPreference.normalized(
         999, [1.0] * objects.dims
     )
     functions[0] = replacement
     result = engine.match(objects, functions)
-    assert engine.stagings == 1  # same objects: staged exactly once
+    assert len(stagings) == 1  # same objects: staged exactly once
     matched = {pair.function_id for pair in result.pairs}
     assert 999 in matched
 

@@ -313,31 +313,23 @@ def test_plan_submodule_is_not_shadowed():
     assert callable(repro.plan)
 
 
-def test_engine_match_stays_warm_across_workloads():
+def test_engine_match_stays_warm_across_workloads(count_stagings):
     # The prepared state depends only on the object set: a stream of
     # different workloads through one engine reuses the staging (and
     # the result cache serves exact repeats).
     objects, functions = tiny_workload(n_objects=80, seed=109)
     other = generate_preferences(12, 3, seed=700)
     engine = repro.MatchingEngine(backend="memory")
+    stagings = count_stagings(engine)
     first = engine.match(objects, functions)
     engine.match(objects, other)
     assert engine.match(objects, functions) is first  # cache, not rerun
-    with pytest.deprecated_call():
-        assert engine.stagings == 1
+    assert len(stagings) == 1
 
 
 def test_engine_compiles_at_construction():
     with pytest.raises(MatchingError, match="unknown algorithm"):
         repro.MatchingEngine(algorithm="oracle")
-
-
-def test_engine_stagings_is_deprecated_but_working():
-    objects, functions = tiny_workload(n_objects=50, seed=103)
-    engine = repro.MatchingEngine(backend="memory")
-    engine.match(objects, functions)
-    with pytest.deprecated_call():
-        assert engine.stagings == 1
 
 
 def test_engine_close_releases_and_allows_reuse():

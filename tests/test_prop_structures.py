@@ -3,7 +3,7 @@ D&C skyline, buffer pools)."""
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.rtree import MemoryNodeStore, RTree, hilbert_index, k_nearest
@@ -32,6 +32,7 @@ def test_hilbert_index_is_injective(dims, order, data):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(unit, unit), min_size=1, max_size=40),
        st.tuples(unit, unit))
+@example(points=[(0.0, 4.9e-225), (0.0, 0.0)], query=(0.0, 0.0))
 def test_knn_equals_sorted_distances(points, query):
     tree = RTree(MemoryNodeStore(4), dims=2)
     for object_id, point in enumerate(points):
