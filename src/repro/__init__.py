@@ -65,6 +65,9 @@ clock, bit-identically. The full documentation site lives in ``docs/``
 (build it with ``mkdocs build`` after ``pip install -e .[docs]``).
 """
 
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
 from .core import (
     BruteForceMatcher,
     ChainMatcher,
@@ -83,7 +86,6 @@ from .core import (
     verify_stable_matching,
 )
 from .engine import (
-    AsyncMatchingService,
     MatchingConfig,
     MatchingEngine,
     MatchingPlan,
@@ -112,25 +114,6 @@ from .dynamic import (
 # Importing the parallel package registers the "sharded-sb" algorithm.
 from .parallel import ShardedMatcher, available_executors, hilbert_ranges
 
-# The network layer sits on top of both the engine and the parallel
-# package, so it imports last.
-from .net import (
-    AsyncMatchingClient,
-    MatchingClient,
-    MatchingServer,
-    RemoteExecutor,
-    ShardWorkerServer,
-)
-
-# The replay harness drives the whole stack (engine + dynamic + net)
-# under a simulated clock, so it imports after all of them.
-from .replay import (
-    ReplayDriver,
-    ScenarioReport,
-    Trace,
-    TraceRecorder,
-    scenario_trace,
-)
 from .data import (
     Dataset,
     generate_anticorrelated,
@@ -146,7 +129,53 @@ from .prefs import FunctionIndex, LinearPreference, generate_preferences
 from .skyline import bnl_skyline, compute_skyline, sfs_skyline
 from .storage import IOStats, SearchStats
 
+if TYPE_CHECKING:
+    from .engine import AsyncMatchingService
+    from .net import (
+        AsyncMatchingClient,
+        MatchingClient,
+        MatchingServer,
+        RemoteExecutor,
+        ShardWorkerServer,
+    )
+    from .replay import (
+        ReplayDriver,
+        ScenarioReport,
+        Trace,
+        TraceRecorder,
+        scenario_trace,
+    )
+
 __version__ = "1.0.0"
+
+#: Exports imported on first access (PEP 562): the network layer and the
+#: replay harness sit on top of the whole stack and pull in asyncio,
+#: socket and ssl, which a plain ``import repro`` never needs.
+_LAZY = {
+    "AsyncMatchingService": ".engine.async_service",
+    "net": ".net",
+    "AsyncMatchingClient": ".net",
+    "MatchingClient": ".net",
+    "MatchingServer": ".net",
+    "RemoteExecutor": ".net",
+    "ShardWorkerServer": ".net",
+    "replay": ".replay",
+    "ReplayDriver": ".replay",
+    "ScenarioReport": ".replay",
+    "Trace": ".replay",
+    "TraceRecorder": ".replay",
+    "scenario_trace": ".replay",
+}
+
+
+def __getattr__(name: str) -> Any:
+    """Import a lazy export (see ``_LAZY``) on first access."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(_LAZY[name], __name__)
+    value = module if name in ("net", "replay") else getattr(module, name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "BruteForceMatcher",

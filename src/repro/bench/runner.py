@@ -30,6 +30,7 @@ BENCH_CONFIGS: Dict[str, MatchingConfig] = {
     "SB-single": MatchingConfig(algorithm="sb", multi_pair=False),
     "SB-retraversal": MatchingConfig(algorithm="sb",
                                      maintenance="retraversal"),
+    "SB-tight-threshold": MatchingConfig(algorithm="sb", threshold="tight"),
     "SB-naive-threshold": MatchingConfig(algorithm="sb", threshold="naive"),
     "SB-nocache": MatchingConfig(algorithm="sb", cache_best=False),
     "Chain-stack": MatchingConfig(algorithm="chain", restart=False),

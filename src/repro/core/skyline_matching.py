@@ -6,9 +6,11 @@ therefore (Algorithm 1 of the paper):
 
 1. computes the skyline of ``O`` once with BBS, recording every pruned
    R-tree entry in the pruned list of exactly one skyline member;
-2. finds the best function for each skyline object with the reverse top-1
-   threshold algorithm over per-coefficient sorted lists (Section IV-A,
-   tight threshold);
+2. finds the best function for each skyline object (a reverse top-1
+   query, Section IV-A) — by default for every stale object of the round
+   at once, in one exact numpy pass over the alive functions; the
+   paper's threshold algorithm over per-coefficient sorted lists (tight
+   or naive threshold) remains as an ablation;
 3. emits *all* mutual-best pairs at once (Section IV-C): each object's
    best function whose own best skyline object points back at it — at
    least one pair (the global maximum) is always emitted;
@@ -23,10 +25,14 @@ Implementation notes:
   the cached function was assigned (removals can never promote a
   different function to the top); ``cache_best=False`` disables this for
   the ablation benchmark.
-* ``f.obest`` is computed as an argmax over the skyline; a vectorized
-  numpy pass shortlists candidates within a safety margin, then the
-  canonical score arithmetic picks the exact winner, keeping SB's
-  comparisons bitwise-consistent with the other matchers.
+* ``f.obest`` is computed for every candidate function of the round in
+  one canonical score matrix over (candidates x skyline), columns in
+  object-id order; the canonical arithmetic keeps SB's comparisons
+  bitwise-consistent with the other matchers, and the first maximum is
+  the lowest-id tie winner.
+* Every vectorized pass is blocked to about
+  :data:`~repro.prefs.functions.BLOCK_BYTES`, so one matching's
+  transient memory stays flat however large the skyline grows.
 * ``maintenance="retraversal"`` swaps step 4 for the re-traversal
   baseline (ablation of the plist design).
 """
@@ -38,7 +44,8 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from ..errors import MatchingError
-from ..prefs import FunctionIndex, LinearPreference
+from ..prefs import FunctionIndex, ReverseHit
+from ..prefs.functions import canonical_argmax
 from ..skyline import (
     SkylineState,
     compute_skyline,
@@ -49,12 +56,6 @@ from ..storage.stats import SearchStats
 from .base import Matcher
 from .problem import MatchingProblem
 from .result import MatchPair
-
-#: Safety margin for the vectorized argmax shortlist; must exceed the
-#: worst-case difference between a BLAS dot product and the canonical
-#: left-to-right sum (~D ulps on unit-scale data).
-_ARGMAX_MARGIN = 1e-9
-
 
 class SkylineMatcher(Matcher):
     """The paper's SB algorithm.
@@ -69,7 +70,10 @@ class SkylineMatcher(Matcher):
     maintenance:
         ``"plist"`` (Section IV-B, default) or ``"retraversal"``.
     threshold:
-        ``"tight"`` (Section IV-A, default) or ``"naive"`` TA threshold.
+        ``"none"`` (default): answer each round's reverse top-1 queries
+        in one exact pass over every alive function; ``"tight"``
+        (Section IV-A) or ``"naive"``: one threshold-algorithm scan per
+        query (ablations).
     cache_best:
         Reuse ``o.fbest`` across rounds while it stays valid (default) or
         recompute it every round (ablation).
@@ -81,7 +85,7 @@ class SkylineMatcher(Matcher):
     def __init__(self, problem: MatchingProblem,
                  multi_pair: bool = True,
                  maintenance: str = "plist",
-                 threshold: str = "tight",
+                 threshold: str = "none",
                  cache_best: bool = True,
                  search_stats: Optional[SearchStats] = None,
                  on_round=None) -> None:
@@ -108,8 +112,8 @@ class SkylineMatcher(Matcher):
         state: Optional[SkylineState] = None
         excluded: Set[int] = set()
         pending_orphans: List = []
-        # o.fbest cache: object id -> (score, function id).
-        fbest: Dict[int, Tuple[float, int]] = {}
+        # o.fbest cache: object id -> (function id, score).
+        fbest: Dict[int, ReverseHit] = {}
         rank = 0
 
         while len(index) > 0:
@@ -129,13 +133,19 @@ class SkylineMatcher(Matcher):
 
             if not self.cache_best:
                 fbest.clear()
-            for object_id, point in state.items():
-                cached = fbest.get(object_id)
-                if cached is not None and cached[1] in index:
-                    continue
-                hit = index.reverse_top1(point, stats=self.search_stats)
-                self.reverse_top1_queries += 1
-                fbest[object_id] = (hit[1], hit[0])
+            stale = [
+                (object_id, point) for object_id, point in state.items()
+                if object_id not in fbest or fbest[object_id][0] not in index
+            ]
+            points = [point for _object_id, point in stale]
+            if self.threshold == "none":
+                hits = index.reverse_top1_batch(points, self.search_stats)
+            else:
+                hits = [index.reverse_top1(point, self.search_stats)
+                        for point in points]
+            self.reverse_top1_queries += len(stale)
+            for (object_id, _point), hit in zip(stale, hits):
+                fbest[object_id] = hit
 
             skyline_size = len(state)
             emitted = self._mutual_pairs(index, state, fbest)
@@ -173,39 +183,30 @@ class SkylineMatcher(Matcher):
     # One round's mutual-best pairs
     # ------------------------------------------------------------------
     def _mutual_pairs(self, index: FunctionIndex, state: SkylineState,
-                      fbest: Dict[int, Tuple[float, int]],
+                      fbest: Dict[int, ReverseHit],
                       ) -> List[Tuple[float, int, int]]:
         """All (score, fid, oid) with o.fbest = f and f.obest = o, sorted
-        by the canonical (score desc, fid asc, oid asc) order."""
-        sky_ids = state.ids()
-        sky_matrix = state.matrix()
-        candidate_fids = sorted({fbest[object_id][1] for object_id in sky_ids})
-        emitted: List[Tuple[float, int, int]] = []
-        for fid in candidate_fids:
-            function = index.function(fid)
-            obest = self._argmax_object(function, sky_ids, sky_matrix, state)
-            if fbest[obest][1] != fid:
-                continue
-            emitted.append((function.score(state.point(obest)), fid, obest))
+        by the canonical (score desc, fid asc, oid asc) order.
+
+        ``f.obest`` (ties: lowest object id) comes from one canonical
+        score matrix over (candidate functions x skyline, id order).
+        """
+        sky_ids = np.array(state.ids(), dtype=np.int64)
+        order = np.argsort(sky_ids, kind="stable")
+        sky_ids = sky_ids[order]
+        candidate_fids = sorted({fbest[object_id][0]
+                                 for object_id in sky_ids.tolist()})
+        weights = np.array([index.function(fid).weights
+                            for fid in candidate_fids])
+        best, top = canonical_argmax(weights, state.matrix()[order])
+        if self.search_stats is not None:
+            self.search_stats.score_evaluations += len(weights) * len(sky_ids)
+        emitted = [
+            (score, fid, obest)
+            for fid, obest, score in zip(
+                candidate_fids, sky_ids[best].tolist(), top.tolist()
+            )
+            if fbest[obest][0] == fid
+        ]
         emitted.sort(key=lambda item: (-item[0], item[1], item[2]))
         return emitted
-
-    def _argmax_object(self, function: LinearPreference, sky_ids: List[int],
-                       sky_matrix: np.ndarray, state: SkylineState) -> int:
-        """``f.obest``: the skyline object maximizing ``f`` (ties: lowest
-        id), exact under the canonical arithmetic."""
-        scores = sky_matrix @ np.asarray(function.weights)
-        shortlist = np.nonzero(scores >= scores.max() - _ARGMAX_MARGIN)[0]
-        best_score = float("-inf")
-        best_oid = -1
-        for row in shortlist:
-            object_id = sky_ids[row]
-            score = function.score(state.point(object_id))
-            if self.search_stats is not None:
-                self.search_stats.score_evaluations += 1
-            if score > best_score or (
-                score == best_score and object_id < best_oid
-            ):
-                best_score = score
-                best_oid = object_id
-        return best_oid

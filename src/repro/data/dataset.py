@@ -5,11 +5,16 @@ integer id and a ``D``-dimensional feature vector in the unit hypercube
 where **larger is better** in every dimension. Raw data with other ranges
 or "smaller is better" attributes (e.g. price) is brought into this space
 with :meth:`Dataset.from_raw`.
+
+Explicit ids are held as one int64 array plus an id -> row table. With
+the default ids (``0 … n-1``) the row of an object *is* its id, so
+neither is built — a dataset costs little more than its feature
+matrix.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,22 +53,27 @@ class Dataset:
             )
         self._matrix = matrix
         self.name = name
-        if ids is None:
-            self._ids = list(range(matrix.shape[0]))
-        else:
+        # Explicit ids and id -> row; both None for the default ids
+        # 0 … n-1, where the row is the id.
+        self._ids: Optional[np.ndarray] = None
+        self._row_of: Optional[Dict[int, int]] = None
+        if ids is not None:
             id_list = [int(i) for i in ids]
             if len(id_list) != matrix.shape[0]:
                 raise DatasetError(
                     f"{len(id_list)} ids for {matrix.shape[0]} vectors"
                 )
-            if len(set(id_list)) != len(id_list):
+            try:
+                self._ids = np.array(id_list, dtype=np.int64)
+            except OverflowError:
+                raise DatasetError("object ids must fit in int64") from None
+            if len(np.unique(self._ids)) != len(id_list):
                 raise DatasetError("object ids must be unique")
-            if any(i < 0 for i in id_list):
+            if id_list and self._ids.min() < 0:
                 raise DatasetError("object ids must be non-negative")
-            self._ids = id_list
-        self._by_id = {
-            object_id: row for row, object_id in enumerate(self._ids)
-        }
+            self._row_of = {
+                object_id: row for row, object_id in enumerate(id_list)
+            }
 
     # ------------------------------------------------------------------
     # Construction
@@ -126,7 +136,9 @@ class Dataset:
 
     @property
     def ids(self) -> List[int]:
-        return list(self._ids)
+        if self._ids is None:
+            return list(range(len(self)))
+        return self._ids.tolist()
 
     @property
     def matrix(self) -> np.ndarray:
@@ -135,22 +147,33 @@ class Dataset:
         view.flags.writeable = False
         return view
 
+    def _row(self, object_id: int) -> Optional[int]:
+        """The row holding ``object_id`` (``None`` when absent)."""
+        if self._row_of is not None:
+            return self._row_of.get(object_id)
+        try:
+            row = int(object_id)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if row != object_id or not 0 <= row < len(self):
+            return None
+        return row
+
     def vector(self, object_id: int) -> Point:
         """The feature tuple of one object."""
-        try:
-            row = self._by_id[object_id]
-        except KeyError:
-            raise DatasetError(f"unknown object id {object_id}") from None
+        row = self._row(object_id)
+        if row is None:
+            raise DatasetError(f"unknown object id {object_id}")
         return tuple(self._matrix[row].tolist())
 
     def __len__(self) -> int:
         return int(self._matrix.shape[0])
 
     def __contains__(self, object_id: int) -> bool:
-        return object_id in self._by_id
+        return self._row(object_id) is not None
 
     def __iter__(self) -> Iterator[Tuple[int, Point]]:
-        for object_id, row in zip(self._ids, self._matrix):
+        for object_id, row in zip(self.ids, self._matrix):
             yield object_id, tuple(row.tolist())
 
     def items(self) -> Iterator[Tuple[int, Point]]:
@@ -160,7 +183,10 @@ class Dataset:
     def subset(self, ids: Iterable[int], name: Optional[str] = None) -> "Dataset":
         """A new dataset restricted to ``ids`` (order preserved)."""
         id_list = list(ids)
-        rows = [self._by_id[i] for i in id_list]
+        rows = [self._row(i) for i in id_list]
+        if None in rows:
+            missing = id_list[rows.index(None)]
+            raise DatasetError(f"unknown object id {missing}")
         return Dataset(
             self._matrix[rows], ids=id_list,
             name=name if name is not None else self.name,
@@ -177,7 +203,8 @@ class Dataset:
         rows = rng.choice(len(self), size=n, replace=False)
         rows.sort()
         return Dataset(
-            self._matrix[rows], ids=[self._ids[r] for r in rows],
+            self._matrix[rows],
+            ids=rows if self._ids is None else self._ids[rows],
             name=name if name is not None else f"{self.name}-sample{n}",
         )
 

@@ -50,7 +50,6 @@ import numpy as np
 
 from ..core.problem import MatchingProblem
 from ..core.result import MatchPair
-from ..core.skyline_matching import _ARGMAX_MARGIN
 from ..data import Dataset
 from ..engine.config import MatchingConfig
 from ..engine.registry import create_matcher
@@ -66,6 +65,11 @@ from ..skyline import (
 from ..storage.stats import SearchStats
 
 Point = Tuple[float, ...]
+
+#: Safety margin for the BLAS-scored shortlists below; must exceed the
+#: worst-case difference between a BLAS dot product and the canonical
+#: left-to-right sum (~D ulps on unit-scale data).
+_ARGMAX_MARGIN = 1e-9
 
 
 @dataclass

@@ -18,6 +18,8 @@ The package ties the library's pieces behind a single coherent API:
   cache and a persistent shard worker pool.
 """
 
+from typing import TYPE_CHECKING, Any
+
 from .backends import (
     DiskBackend,
     InMemoryProblem,
@@ -37,7 +39,6 @@ from .facade import MatchingEngine, match, open_session
 from .plan import MatchingPlan, PreparedMatching
 from .request import MatchingRequest
 from .service import MatchingService, ServiceStats
-from .async_service import AsyncMatchingService
 from .registry import (
     algorithm_aliases,
     algorithm_supports_repair,
@@ -50,6 +51,18 @@ from .result import MatchResult
 
 # Importing the adapters registers the built-in algorithms.
 from .adapters import GenericSkylineAdapter
+
+if TYPE_CHECKING:
+    from .async_service import AsyncMatchingService
+
+
+def __getattr__(name: str) -> Any:
+    """Import :class:`AsyncMatchingService` (and asyncio) on first access."""
+    if name != "AsyncMatchingService":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .async_service import AsyncMatchingService
+
+    return AsyncMatchingService
 
 __all__ = [
     "DiskBackend",

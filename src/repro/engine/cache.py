@@ -5,15 +5,17 @@ validated configuration — algorithm, backend, capacities, every switch),
 the *object state* (which objects exist right now), and the *preference
 workload* (which functions are being matched). The serving layer
 (:class:`~repro.engine.plan.PreparedMatching`,
-:class:`~repro.engine.service.MatchingService`) therefore caches results
-under the composite key::
+:class:`~repro.engine.service.MatchingService`) keeps one cache per
+prepared matching — so per plan — and caches results under the key::
 
-    (config fingerprint, objects version, preference digest)
+    (objects version, preference digest)
 
 * :func:`config_fingerprint` — a stable hash of every
-  :class:`~repro.engine.config.MatchingConfig` field, so two equal
-  configs share cache entries and *any* config change (a capacity edit,
-  a different algorithm) lands in a disjoint key space;
+  :class:`~repro.engine.config.MatchingConfig` field, naming the plan a
+  cache belongs to (:attr:`MatchingPlan.fingerprint
+  <repro.engine.plan.MatchingPlan.fingerprint>`); *any* config change (a
+  capacity edit, a different algorithm) is a new plan, with its own
+  prepared state and cache;
 * the **objects version** is a counter owned by the prepared matching,
   bumped exactly when an object-set-changing event (insert/delete from a
   bound dynamic session, a restage) occurs — function-only churn leaves
@@ -31,7 +33,6 @@ the LRU naturally.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 
@@ -70,6 +71,8 @@ def config_fingerprint(config) -> str:
             value = tuple(sorted(value.items()))
         parts.append(f"{name}={value!r}")
     blob = ";".join(parts).encode("utf-8")
+    import hashlib  # deferred: a plain ``import repro`` never digests
+
     return hashlib.blake2b(blob, digest_size=8).hexdigest()
 
 

@@ -70,6 +70,9 @@ class MatchingConfig:
         itself is deterministic).
     multi_pair / maintenance / threshold / cache_best:
         SB design switches (Sections IV-A/B/C and their ablations).
+        ``threshold="none"`` (the default) answers each round's reverse
+        top-1 queries in one exact batched pass; ``"tight"`` and
+        ``"naive"`` run the paper's threshold algorithm per query.
     restart / function_fanout:
         Chain walk restart behaviour and its memory R-tree fanout.
     batch_size:
@@ -151,7 +154,7 @@ class MatchingConfig:
     # SB switches.
     multi_pair: bool = True
     maintenance: str = "plist"
-    threshold: str = "tight"
+    threshold: str = "none"
     cache_best: bool = True
     # Chain switches.
     restart: bool = True

@@ -48,6 +48,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from functools import cached_property
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from ..core.capacity import expand_capacities
@@ -250,8 +251,13 @@ class MatchingPlan:  # lint: frozen
                 f"chains, which requires a canonical linear-preference "
                 f"matcher (one whose matcher sets supports_repair)"
             )
-        #: Stable cache-key component (see :mod:`repro.engine.cache`).
-        self.fingerprint = config_fingerprint(config)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """A stable hash naming this plan's configuration (see
+        :func:`~repro.engine.cache.config_fingerprint`), computed on
+        first use."""
+        return config_fingerprint(self.config)
 
     @property
     def backend(self) -> StorageBackend:
@@ -490,17 +496,18 @@ class PreparedMatching:
             return cached
         return self.run_miss(key, functions)
 
-    def request_key(self, functions: Sequence) -> Tuple[str, int, Hashable]:
+    def request_key(self, functions: Sequence) -> Tuple[int, Hashable]:
         """The cache key one workload would be served under, right now.
 
-        The key is correct before any restage: session events bump
+        The cache belongs to this prepared matching, so every key shares
+        its plan and the key needs no config component. It is correct
+        before any restage: session events bump
         ``objects_version`` at submission time, so a stale staging can
         only ever be consulted by a key that misses. The version read
         is deliberately lock-free — a concurrent bump simply makes this
         key miss, which is the safe outcome.
         """
         return (
-            self.plan.fingerprint,
             self.objects_version,  # lint: disable=lock-guard
             prefs_digest(functions),
         )

@@ -10,7 +10,8 @@ costs (I/O snapshot, CPU seconds), so a result is self-describing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set
 
 from ..core.result import Matching, MatchPair
 from ..errors import MatchingError
@@ -49,22 +50,24 @@ class MatchResult:  # lint: frozen
         #: Auxiliary counters (rounds, top-1 searches, ...).
         self.stats: Dict[str, float] = dict(stats or {})
 
-        self.by_function: Dict[int, MatchPair] = {}
-        self.usage: Dict[int, int] = {}
+        # Validate here; the lookup tables (by_function, usage) are only
+        # built on first use, so a result held by the thousand stays small.
+        matched: Set[int] = set()
+        usage: Dict[int, int] = {}
         for pair in self.pairs:
-            if pair.function_id in self.by_function:
+            if pair.function_id in matched:
                 raise MatchingError(
                     f"function {pair.function_id} matched more than once"
                 )
-            self.by_function[pair.function_id] = pair
-            self.usage[pair.object_id] = self.usage.get(pair.object_id, 0) + 1
+            matched.add(pair.function_id)
+            usage[pair.object_id] = usage.get(pair.object_id, 0) + 1
             limit = (
                 1 if self.capacities is None
                 else self.capacities.get(pair.object_id, 1)
             )
-            if self.usage[pair.object_id] > limit:
+            if usage[pair.object_id] > limit:
                 raise MatchingError(
-                    f"object {pair.object_id} assigned {self.usage[pair.object_id]} "
+                    f"object {pair.object_id} assigned {usage[pair.object_id]} "
                     f"times, capacity {limit}"
                 )
 
@@ -80,6 +83,19 @@ class MatchResult:  # lint: frozen
     @property
     def is_capacitated(self) -> bool:
         return self.capacities is not None
+
+    @cached_property
+    def by_function(self) -> Dict[int, MatchPair]:
+        """``{function_id: pair}``."""
+        return {pair.function_id: pair for pair in self.pairs}
+
+    @cached_property
+    def usage(self) -> Dict[int, int]:
+        """``{object_id: number of functions it serves}``."""
+        usage: Dict[int, int] = {}
+        for pair in self.pairs:
+            usage[pair.object_id] = usage.get(pair.object_id, 0) + 1
+        return usage
 
     # ------------------------------------------------------------------
     # Lookups

@@ -43,8 +43,11 @@ class MBR:
                     f"MBR low corner {tuple(low)} exceeds high corner "
                     f"{tuple(high)}"
                 )
-        self.low: Vector = tuple(float(v) for v in low)
-        self.high: Vector = tuple(float(v) for v in high)
+        self.low: Vector = tuple(map(float, low))
+        # A point's box (low is high) shares one corner tuple.
+        self.high: Vector = (
+            self.low if high is low else tuple(map(float, high))
+        )
 
     # ------------------------------------------------------------------
     # Construction

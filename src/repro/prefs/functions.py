@@ -206,6 +206,40 @@ def canonical_score_matrix(weights: np.ndarray,
     return scores
 
 
+#: Byte size of one row block of a vectorized scoring or dominance pass
+#: (a pass holds about two blocks at once). Larger inputs are processed
+#: block by block, so one matching's transient memory stays flat however
+#: large the skyline or the function set grows. Blocks of 1 MiB were no
+#: faster on a 5,000 x 300 anti-correlated SB matching, and raised the
+#: peak resident memory of a process holding many results.
+BLOCK_BYTES = 1 << 17
+
+
+def canonical_argmax(rows: np.ndarray,
+                     columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row of ``canonical_score_matrix(rows, columns)``: the first
+    column holding the row maximum, and that maximum.
+
+    The score expression is symmetric in its two operands (IEEE-754
+    multiplication commutes and the sum runs over the dimensions in the
+    same order either way), so either operand may hold the weights.
+    ``np.argmax`` returns the *first* maximum, so ties resolve to the
+    lowest column. Rows are scored in blocks of about
+    :data:`BLOCK_BYTES` of scores. ``columns`` must be non-empty.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    columns = np.asarray(columns, dtype=np.float64)
+    best = np.empty(rows.shape[0], dtype=np.int64)
+    top = np.empty(rows.shape[0], dtype=np.float64)
+    step = max(1, BLOCK_BYTES // (8 * columns.shape[0]))
+    for start in range(0, rows.shape[0], step):
+        scores = canonical_score_matrix(rows[start:start + step], columns)
+        block = scores.argmax(axis=1)
+        best[start:start + step] = block
+        top[start:start + step] = scores[np.arange(block.size), block]
+    return best, top
+
+
 def weights_matrix(functions: Sequence[LinearPreference]) -> Tuple[np.ndarray, List[int]]:
     """Stack function weights into ``(matrix, fids)`` for vectorized math."""
     if not functions:

@@ -1,4 +1,4 @@
-"""Sorted-list function index and reverse top-1 threshold algorithm.
+"""Function index for reverse top-1 queries: exact batches and TA.
 
 Section IV-A of the paper: to find, for a skyline object ``o``, the best
 *function* (a "reverse top-1" query, roles of objects and functions
@@ -17,23 +17,45 @@ decreasing order of ``o``'s values, capping each share at ``l_i``:
 ``sum beta_i = 1``. Both variants are implemented; the ablation benchmark
 measures the gap.
 
+The third threshold, ``"none"``, is TA with no stopping test: every alive
+function is scored. That is what SB runs by default, because it can be
+done for a whole round of queries at once —
+:meth:`FunctionIndex.reverse_top1_batch` scores every stale skyline object
+against every alive function in one bitwise-canonical numpy pass
+(:func:`~repro.prefs.functions.canonical_argmax`), which is an order of
+magnitude faster than one Python-level TA scan per object, and returns
+the same hits. The tight and naive TA scans remain as the paper-faithful
+ablation (``SB-tight-threshold`` and ``SB-naive-threshold`` in the bench).
+
 Functions are removed as the matcher assigns them; removal uses tombstones
-with periodic compaction, so one removal per matching round stays cheap.
+(an alive mask over the weight rows) with periodic compaction, so one
+removal per matching round stays cheap.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import DimensionalityError, PreferenceError
 from ..storage.stats import SearchStats
-from .functions import WEIGHT_SUM_TOLERANCE, LinearPreference, canonical_score
+from .functions import (
+    WEIGHT_SUM_TOLERANCE,
+    LinearPreference,
+    canonical_argmax,
+    canonical_score,
+)
 
 #: Result of a reverse top-1 query: (function id, score).
 ReverseHit = Tuple[int, float]
 
-#: Compact the sorted lists when dead entries exceed this fraction.
+#: Compact the sorted lists and weight rows when dead entries exceed
+#: this fraction.
 _COMPACT_FRACTION = 0.5
+
+#: Accepted ``threshold`` modes.
+THRESHOLDS = ("none", "tight", "naive")
 
 #: Safety margin added to the TA stop test. The threshold is admissible in
 #: exact arithmetic, but a computed score can exceed the computed bound by
@@ -45,7 +67,7 @@ TA_STOP_MARGIN = 1e-12
 
 
 class FunctionIndex:
-    """The TA index over a set of preference functions.
+    """The reverse top-1 index over a set of preference functions.
 
     Parameters
     ----------
@@ -53,14 +75,16 @@ class FunctionIndex:
         The initial function set (all must share one dimensionality; ids
         must be unique).
     threshold:
-        ``"tight"`` (the paper's bound, default) or ``"naive"``.
+        ``"tight"`` (the paper's bound, default), ``"naive"``, or
+        ``"none"`` (no stopping test: score every alive function; no
+        sorted lists are built).
     """
 
     def __init__(self, functions: Sequence[LinearPreference],
                  threshold: str = "tight") -> None:
-        if threshold not in ("tight", "naive"):
+        if threshold not in THRESHOLDS:
             raise PreferenceError(
-                f"threshold must be 'tight' or 'naive', got {threshold!r}"
+                f"threshold must be one of {THRESHOLDS}, got {threshold!r}"
             )
         self.threshold = threshold
         self._functions: Dict[int, LinearPreference] = {}
@@ -78,7 +102,17 @@ class FunctionIndex:
             self.dims = 0
         self._alive: Dict[int, LinearPreference] = dict(self._functions)
         self._dead = 0
-        self._lists: List[List[Tuple[float, int]]] = [
+        # Weight rows in ascending fid order, for the batched scan.
+        ordered = sorted(self._functions)
+        self._fids = np.array(ordered, dtype=np.int64)
+        self._weights = np.array(
+            [self._functions[fid].weights for fid in ordered],
+            dtype=np.float64,
+        ).reshape(len(ordered), self.dims)
+        self._alive_rows = np.ones(len(ordered), dtype=bool)
+        self._lists: List[List[Tuple[float, int]]] = [] if (
+            threshold == "none"
+        ) else [
             sorted(
                 ((f.weights[d], f.fid) for f in self._functions.values()),
                 key=lambda pair: (-pair[0], pair[1]),
@@ -114,6 +148,7 @@ class FunctionIndex:
         if fid not in self._alive:
             raise PreferenceError(f"function {fid} is not in the index")
         del self._alive[fid]
+        self._alive_rows[np.searchsorted(self._fids, fid)] = False
         self._dead += 1
         if (
             self._dead >= 32
@@ -124,14 +159,39 @@ class FunctionIndex:
     def _compact(self) -> None:
         self._functions = dict(self._alive)
         self._dead = 0
+        self._fids = self._fids[self._alive_rows]
+        self._weights = self._weights[self._alive_rows]
+        self._alive_rows = np.ones(len(self._fids), dtype=bool)
         self._lists = [
             [pair for pair in lst if pair[1] in self._alive]
             for lst in self._lists
         ]
 
     # ------------------------------------------------------------------
-    # Reverse top-1 (threshold algorithm)
+    # Reverse top-1
     # ------------------------------------------------------------------
+    def reverse_top1_batch(self, points: Sequence[Sequence[float]],
+                           stats: Optional[SearchStats] = None,
+                           ) -> List[Optional[ReverseHit]]:
+        """``[reverse_top1(p) for p in points]``, in one exact numpy pass.
+
+        Every point is scored against every alive function (columns in
+        ascending fid order, so the first maximum is the lowest-id tie
+        winner) with the canonical arithmetic, whatever the index's
+        ``threshold``; hits and scores are bit-identical to the TA scan.
+        Counts one score evaluation per (alive function, point).
+        """
+        matrix = np.asarray(points, dtype=np.float64)
+        if not self._alive or not len(matrix):
+            return [None] * len(matrix)
+        if matrix.ndim != 2 or matrix.shape[1] != self.dims:
+            raise DimensionalityError(self.dims, matrix.shape[-1], "point")
+        fids = self._fids[self._alive_rows]
+        best, top = canonical_argmax(matrix, self._weights[self._alive_rows])
+        if stats is not None:
+            stats.score_evaluations += len(fids) * len(matrix)
+        return list(zip(fids[best].tolist(), top.tolist()))
+
     def reverse_top1(self, point: Sequence[float],
                      stats: Optional[SearchStats] = None) -> Optional[ReverseHit]:
         """The best alive function for ``point`` (ties: lowest id).
@@ -139,13 +199,17 @@ class FunctionIndex:
         Returns ``None`` when the index is empty. The TA scan stops as
         soon as the best complete score strictly exceeds the threshold
         (strictness preserves the lowest-id tie-break), when every alive
-        function has been seen, or when the lists are exhausted.
+        function has been seen, or when the lists are exhausted. With
+        ``threshold="none"`` there is no stopping test, and every alive
+        function is scored by :meth:`reverse_top1_batch`.
         """
         alive = self._alive
         if not alive:
             return None
         if len(point) != self.dims:
             raise DimensionalityError(self.dims, len(point), "point")
+        if self.threshold == "none":
+            return self.reverse_top1_batch([point], stats)[0]
 
         lists = self._lists
         dims = self.dims

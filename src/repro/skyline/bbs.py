@@ -7,6 +7,11 @@ that survives a dominance check against the current skyline *is* a skyline
 member, and the traversal reads only nodes whose box is not dominated —
 the I/O-optimal behaviour the paper leans on.
 
+An expanded node's entries are probed against the skyline in one batch
+(:meth:`~repro.skyline.state.SkylineState.first_dominators`): parking
+and pushing never change membership, so every entry gets the same owner
+as a one-by-one probe would give it.
+
 Following Section IV-B of the paper, this implementation additionally
 records every pruned entry in the pruned list (``plist``) of exactly one
 dominating skyline member — the earliest-admitted one — so that skyline
@@ -17,12 +22,12 @@ maintenance after a member is removed never restarts from the root (see
 from __future__ import annotations
 
 import heapq
-from typing import AbstractSet, List, Optional, Tuple
+from typing import AbstractSet, List, Optional, Sequence, Tuple
 
 from ..rtree.entry import Entry
 from ..rtree.tree import RTree
 from ..storage.stats import SearchStats
-from .state import SkylineState
+from .state import PrunedItem, SkylineState
 
 #: Heap item: (mindist key, is_point, child id, containing-node level, entry).
 #: Branches pop before equal-key points; equal-key points pop by object id.
@@ -72,21 +77,30 @@ def bbs_loop(tree: RTree, heap: List[HeapItem], state: SkylineState,
             admitted.append(child)
             continue
         node = tree.read_node(child)
-        for sub_entry in node.entries:
-            if (
-                node.level == 0
-                and excluded is not None
-                and sub_entry.child in excluded
-            ):
-                continue
-            if stats is not None:
-                stats.dominance_checks += 1
-            owner = state.first_dominator(sub_entry.mbr.high)
-            if owner is not None:
-                state.park(owner, (sub_entry, node.level))
-            else:
-                push_entry(heap, sub_entry, node.level, stats)
+        park_or_push(state, heap, [
+            (sub_entry, node.level) for sub_entry in node.entries
+            if node.level != 0 or excluded is None
+            or sub_entry.child not in excluded
+        ], stats)
     return [object_id for object_id in admitted if object_id in state]
+
+
+def park_or_push(state: SkylineState, heap: List[HeapItem],
+                 items: Sequence[PrunedItem],
+                 stats: Optional[SearchStats] = None) -> None:
+    """Park each ``(entry, level)`` under its first dominator, or push it.
+
+    The entries are probed in one batch and handled in order; one
+    dominance check is counted per entry.
+    """
+    if stats is not None:
+        stats.dominance_checks += len(items)
+    owners = state.first_dominators([entry.mbr.high for entry, _ in items])
+    for item, owner in zip(items, owners.tolist()):
+        if owner >= 0:
+            state.park(owner, item)
+        else:
+            push_entry(heap, item[0], item[1], stats)
 
 
 def _admit_point(state: SkylineState, object_id: int, entry: Entry) -> None:

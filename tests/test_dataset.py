@@ -79,6 +79,29 @@ def test_subset_preserves_ids_and_order():
     sub = ds.subset([7, 3, 5])
     assert sub.ids == [7, 3, 5]
     assert sub.vector(3) == ds.vector(3)
+    assert sub.subset([5]).ids == [5]
+
+
+def test_unknown_ids_raise_dataset_error():
+    default = Dataset([[0.1, 0.2], [0.3, 0.4]])
+    explicit = Dataset([[0.1, 0.2], [0.3, 0.4]], ids=[8, 3])
+    for ds, missing in ((default, 2), (default, -1), (explicit, 0)):
+        assert missing not in ds
+        with pytest.raises(DatasetError):
+            ds.vector(missing)
+        with pytest.raises(DatasetError):
+            ds.subset([missing])
+    with pytest.raises(DatasetError):
+        Dataset([[0.1, 0.2]], ids=[2 ** 70])
+
+
+def test_default_ids_look_up_by_row():
+    ds = Dataset([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    assert 2 in ds and np.int64(1) in ds and 1.0 in ds
+    assert 1.5 not in ds and "1" not in ds and None not in ds
+    assert 3 not in ds
+    assert ds.vector(np.int64(2)) == (0.5, 0.6)
+    assert ds.sample(2, seed=0).ids == sorted(ds.sample(2, seed=0).ids)
 
 
 def test_sample_without_replacement_deterministic():

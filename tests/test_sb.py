@@ -81,6 +81,7 @@ def test_pairs_within_round_in_canonical_order():
     {"threshold": "naive"},
     {"cache_best": False},
     {"multi_pair": False, "maintenance": "retraversal"},
+    {"threshold": "tight"},
 ])
 def test_all_variants_identical_matching(kwargs):
     problem_a = make_problem(generator=generate_anticorrelated, seed=145)
@@ -162,6 +163,21 @@ def test_reverse_top1_queries_counted():
     matcher = SkylineMatcher(problem)
     matcher.run()
     assert matcher.reverse_top1_queries > 0
+
+
+@pytest.mark.parametrize("threshold", ["tight", "naive"])
+def test_batched_reverse_top1_matches_ta_exactly(threshold):
+    """The default batched pass and the TA scans emit the same pairs, in
+    the same rounds, with the same reverse top-1 query and I/O counts."""
+    problem_a = make_problem(generator=generate_anticorrelated, seed=147)
+    problem_b = make_problem(generator=generate_anticorrelated, seed=147)
+    batched = SkylineMatcher(problem_a)
+    scanned = SkylineMatcher(problem_b, threshold=threshold)
+    assert batched.threshold == "none"
+    assert list(batched.pairs()) == list(scanned.pairs())
+    assert batched.rounds == scanned.rounds
+    assert batched.reverse_top1_queries == scanned.reverse_top1_queries
+    assert problem_a.io_stats.io_accesses == problem_b.io_stats.io_accesses
 
 
 def test_cache_reduces_reverse_queries():
